@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet race cover test test-short bench bench-smoke bench-sim bench-ingest fuzz-smoke alloc-gate load saturate saturate-smoke bench-diff ingest-demo trace-demo health-demo chaos-demo experiments experiments-full experiments-compare golden-manifest examples clean
+.PHONY: all build vet race bench-module cover test test-short bench bench-smoke bench-sim bench-ingest fuzz-smoke alloc-gate load saturate saturate-smoke bench-diff ingest-demo trace-demo health-demo chaos-demo experiments experiments-full experiments-compare golden-manifest examples clean
 
-all: build vet race
+all: build vet race bench-module
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ test-short:
 # concurrency stress tests, which only bite with -race on).
 race:
 	$(GO) test -race ./...
+
+# bench/ (the BENCHMARK.json harness) is its own module, so the root
+# ./... targets above never compile it: vet and test it explicitly, or an
+# internal API change can break the benchmark silently. Offline — its only
+# requirement is `replace repro => ../`.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage summary across every package.
 cover:
@@ -67,15 +74,13 @@ saturate:
 	/tmp/phi-sat-load -addr 127.0.0.1:7731 -mode saturate \
 		-sat-start 2000 -sat-factor 1.5 -sat-step 5s -sat-settle 1s \
 		-paths 64 -skew zipf -seed 42 \
-		-pprof-url http://127.0.0.1:7732 -profile-dur 5s \
+		-debug-url http://127.0.0.1:7732 -profile-dur 5s \
 		-profile-prefix results/BENCH_saturation \
-		-stages-url http://127.0.0.1:7732/debug/stages \
-		-resources-url http://127.0.0.1:7732/debug/resources \
-		-context-url http://127.0.0.1:7732/debug/context \
 		-out BENCH_saturation.json
 
 # CI-scale saturation smoke (~20s): a short coarse ramp that must still
-# find a knee; the result lands in /tmp for bench-diff to gate.
+# find a knee; the result lands in /tmp for bench-diff to gate. Same
+# scrapes as `saturate` minus the knee profiles (-profile-dur 0).
 saturate-smoke:
 	$(GO) build -o /tmp/phi-sat-cluster ./cmd/phi-cluster
 	$(GO) build -o /tmp/phi-sat-load ./cmd/phi-load
@@ -85,9 +90,7 @@ saturate-smoke:
 	/tmp/phi-sat-load -addr 127.0.0.1:7731 -mode saturate \
 		-sat-start 2000 -sat-factor 2.0 -sat-step 2s -sat-settle 500ms \
 		-paths 64 -skew zipf -seed 42 \
-		-stages-url http://127.0.0.1:7732/debug/stages \
-		-resources-url http://127.0.0.1:7732/debug/resources \
-		-context-url http://127.0.0.1:7732/debug/context \
+		-debug-url http://127.0.0.1:7732 -profile-dur 0 \
 		-out /tmp/phi_saturation_smoke.json
 
 # Gate a candidate result against the committed baseline. Smoke runs on
@@ -130,16 +133,18 @@ bench-ingest:
 	$(GO) run ./cmd/phi-load -mode ipfixbench -bench-reps 5 -seed 42 \
 		-out BENCH_ingest.json
 
-# Passive-ingest demo: a phi-server with the IPFIX collector on, a 5s
-# synthetic export flood (no cooperative senders at all), then the
-# reconstructed per-path state at /debug/ingest — the context server
-# learns RTT, loss, and throughput per path purely from the exports.
+# Passive-ingest demo: an unsharded context server (phi-cluster
+# -shards 1) with the IPFIX collector on, a 5s synthetic export flood (no
+# cooperative senders at all), then the reconstructed per-path state at
+# /debug/ingest — the context server learns RTT, loss, and throughput per
+# path purely from the exports.
 ingest-demo:
-	$(GO) build -o /tmp/phi-ingest-server ./cmd/phi-server
+	$(GO) build -o /tmp/phi-ingest-cluster ./cmd/phi-cluster
 	$(GO) build -o /tmp/phi-ingest-load ./cmd/phi-load
-	/tmp/phi-ingest-server -listen 127.0.0.1:7731 -metrics-addr 127.0.0.1:7732 \
+	/tmp/phi-ingest-cluster -listen 127.0.0.1:7731 -shards 1 \
+		-metrics-addr 127.0.0.1:7732 \
 		-ipfix-addr 127.0.0.1:4739 -ipfix-window 1s & \
-	SERVER=$$!; trap 'kill $$SERVER' EXIT; sleep 1; \
+	CLUSTER=$$!; trap 'kill $$CLUSTER' EXIT; sleep 1; \
 	/tmp/phi-ingest-load -mode ipfix -ipfix-addr 127.0.0.1:4739 \
 		-duration 5s -ipfix-rate 500000 -seed 42 -out /tmp/phi-ingest-demo.json; \
 	sleep 1; \
@@ -188,7 +193,7 @@ health-demo:
 	/tmp/phi-health-load -addr 127.0.0.1:7731 -mode open -rate 2000 \
 		-duration 40s -warmup 2s -paths 64 -grid 1x4x4 -seed 42 \
 		-fault-match isp-1/metro-1 -fault-after 24s -fault-for 12s \
-		-health-url http://127.0.0.1:7732/debug/health \
+		-debug-url http://127.0.0.1:7732 \
 		-out /tmp/phi-health-demo.json; \
 	echo "--- /debug/health after the run ---"; \
 	curl -s 'http://127.0.0.1:7732/debug/health?format=text'; \
@@ -210,7 +215,7 @@ chaos-demo:
 	CLUSTER=$$!; trap 'kill $$CLUSTER' EXIT; sleep 1; \
 	/tmp/phi-chaos-load -addr 127.0.0.1:7731 -mode open -rate 1000 \
 		-duration 20s -warmup 1s -paths 64 -skew zipf -seed 42 \
-		-chaos -chaos-url http://127.0.0.1:7732/debug/fleet \
+		-chaos -debug-url http://127.0.0.1:7732 \
 		-chaos-first 3s -chaos-every 3s -chaos-kills 3 -chaos-bound 5s \
 		-out /tmp/phi-chaos-demo.json; \
 	echo "--- /debug/fleet after the run ---"; \

@@ -222,7 +222,7 @@ func metricSpecs(kind string) []metricSpec {
 			{"knee.allocs_per_op", []string{"knee", "allocs_per_op"}, lowerBetter, effClass},
 			{"knee.frames_per_syscall", []string{"knee", "frames_per_syscall"}, higherBetter, effClass},
 			// Context quality at the knee (present when the ramp ran with
-			// -context-url): the fraction of knee-step lookups served from
+			// -debug-url): the fraction of knee-step lookups served from
 			// fresh evidence may not fall, and the paired-RTT p90 absolute
 			// error may not rise, past -tol-quality. Absent on either side
 			// (pre-quality baselines, ramps run without the endpoint) they

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -55,45 +54,27 @@ type chaosResult struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// chaosCtl drives the kill schedule against a /debug/fleet endpoint.
+// chaosCtl drives cfg's kill schedule against cfg.ChaosURL, the target's
+// /debug/fleet endpoint.
 type chaosCtl struct {
-	url    string // full /debug/fleet URL
-	firstS float64
-	everyS float64
-	kills  int
-	boundS float64
+	cfg runConfig
 
 	mu  sync.Mutex
 	res chaosResult
 }
 
 func newChaosCtl(cfg runConfig) *chaosCtl {
-	return &chaosCtl{
-		url:    cfg.ChaosURL,
-		firstS: cfg.ChaosFirstS,
-		everyS: cfg.ChaosEveryS,
-		kills:  cfg.ChaosKills,
-		boundS: cfg.ChaosBoundS,
-		res: chaosResult{
-			URL:     cfg.ChaosURL,
-			BoundS:  cfg.ChaosBoundS,
-			Planned: cfg.ChaosKills,
-		},
-	}
+	return &chaosCtl{cfg: cfg, res: chaosResult{URL: cfg.ChaosURL, BoundS: cfg.ChaosBoundS, Planned: cfg.ChaosKills}}
 }
 
 // fetch GETs the fleet status (optionally with an op query).
 func (c *chaosCtl) fetch(query string) (*fleetStatusView, error) {
-	resp, err := http.Get(c.url + query)
+	raw, err := fetchJSON(c.cfg.ChaosURL + query)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s%s: HTTP %d", c.url, query, resp.StatusCode)
-	}
 	var st fleetStatusView
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -143,7 +124,7 @@ func (c *chaosCtl) start(stop <-chan struct{}, wg *sync.WaitGroup) {
 		select {
 		case <-stop:
 			return
-		case <-time.After(time.Duration(c.firstS * float64(time.Second))):
+		case <-time.After(time.Duration(c.cfg.ChaosFirstS * float64(time.Second))):
 		}
 
 		st, err := c.fetch("")
@@ -152,15 +133,15 @@ func (c *chaosCtl) start(stop <-chan struct{}, wg *sync.WaitGroup) {
 			return
 		}
 		if len(st.Members) == 0 {
-			c.fail("%s reports no members — is the server running with -fleet?", c.url)
+			c.fail("%s reports no members — is the server running with -fleet?", c.cfg.ChaosURL)
 			return
 		}
 		c.mu.Lock()
 		c.res.Shards = len(st.Members)
 		c.mu.Unlock()
 
-		bound := time.Duration(c.boundS * float64(time.Second))
-		for k := 0; k < c.kills; k++ {
+		bound := time.Duration(c.cfg.ChaosBoundS * float64(time.Second))
+		for k := 0; k < c.cfg.ChaosKills; k++ {
 			victim := k % len(st.Members)
 
 			// One fault at a time: only kill a converged member, so each
@@ -181,14 +162,14 @@ func (c *chaosCtl) start(stop <-chan struct{}, wg *sync.WaitGroup) {
 			c.res.Completed++
 			c.mu.Unlock()
 			if !ok {
-				c.fail("member %d not remediated within %.1fs after kill %d", victim, c.boundS, k)
+				c.fail("member %d not remediated within %.1fs after kill %d", victim, c.cfg.ChaosBoundS, k)
 				return
 			}
 
 			select {
 			case <-stop:
 				return
-			case <-time.After(time.Duration(c.everyS * float64(time.Second))):
+			case <-time.After(time.Duration(c.cfg.ChaosEveryS * float64(time.Second))):
 			}
 		}
 	}()

@@ -66,7 +66,7 @@ type kneePoint struct {
 	FramesPerSyscall float64 // client frames written per write syscall
 
 	// Context-quality attribution over the step (from the server's
-	// /debug/context, when -context-url is set): the fraction of this
+	// /debug/context, when -debug-url is set): the fraction of this
 	// step's lookups served fresh, and the cumulative paired-RTT p90
 	// absolute error (µs) at step end.
 	CoverageFreshFrac float64
@@ -100,7 +100,7 @@ type kneeVerdict struct {
 	FramesPerSyscall float64 `json:"frames_per_syscall,omitempty"`
 	// CoverageFreshFrac and RTTAbsErrP90 are the knee step's context-
 	// quality attribution (present only when the ramp ran with
-	// -context-url): the fraction of that step's lookups served from
+	// -debug-url): the fraction of that step's lookups served from
 	// fresh evidence, and the cumulative paired-RTT p90 absolute error
 	// in µs. phi-bench-diff gates both.
 	CoverageFreshFrac float64 `json:"coverage_fresh_frac,omitempty"`

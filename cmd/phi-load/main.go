@@ -1,5 +1,5 @@
 // Command phi-load drives the real Phi wire protocol against a running
-// phi-server or phi-cluster and reports throughput and latency
+// phi-cluster and reports throughput and latency
 // quantiles as machine-readable JSON — the yardstick for every perf
 // change to the context-server data path.
 //
@@ -23,7 +23,13 @@
 //     online knee detector (knee.go) confirms the p99 knee; the result
 //     (BENCH_saturation.json) carries the full rate→latency curve, the
 //     max sustainable rate, per-stage decompositions, and — with
-//     -pprof-url — CPU/heap profiles captured at the knee.
+//     -debug-url — CPU/heap profiles captured at the knee.
+//
+// Everything phi-load scrapes from the target (saturate mode's stages,
+// resources, context and profiles; -fault-match's /debug/health
+// detection; -chaos's /debug/fleet) is reached through one -debug-url,
+// the target's -metrics-addr, whose /debug/ index is read once at
+// start-up (debug.go).
 //
 // Two further modes exercise the passive-ingest path instead of the
 // wire protocol (see ipfix.go): -mode ipfix floods a server's
@@ -51,7 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -73,60 +78,60 @@ import (
 var opLifecycle = trace.Name("loadgen.lifecycle")
 
 func main() {
+	// Knobs whose flag type is their config type bind straight into it;
+	// durations (echoed as float seconds) are copied after Parse.
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7731", "context server address")
-		mode         = flag.String("mode", "closed", "load model: closed (worker pool) or open (Poisson arrivals)")
-		workers      = flag.Int("workers", 32, "closed-loop worker count (one connection each)")
-		rate         = flag.Float64("rate", 1000, "open-loop arrival rate, lifecycles/s")
-		conns        = flag.Int("conns", 64, "open-loop connection pool size")
-		maxInflight  = flag.Int("max-inflight", 4096, "open-loop bound on concurrent lifecycles (excess arrivals are dropped and counted)")
-		duration     = flag.Duration("duration", 30*time.Second, "measured run length (after warmup)")
-		warmup       = flag.Duration("warmup", 2*time.Second, "warmup length excluded from results")
-		paths        = flag.Int("paths", 64, "distinct path keys")
-		pathPrefix   = flag.String("path-prefix", "path-", "path key prefix")
-		grid         = flag.String("grid", "", "structure path keys over a SxIxM service/ISP/metro grid (e.g. 1x4x4): keys become svc-i/isp-j/metro-k/p-n, the slices the server's health monitor localizes over")
-		faultMatch   = flag.String("fault-match", "", "mid-run fault injection: suppress lifecycles whose path contains this substring (e.g. isp-1/metro-1)")
-		faultAfter   = flag.Duration("fault-after", 10*time.Second, "fault start, measured from run start (warmup included)")
-		faultFor     = flag.Duration("fault-for", 15*time.Second, "fault duration (0 = until the run ends)")
-		healthURL    = flag.String("health-url", "", "poll this /debug/health URL during the run and summarize detections (and time-to-detect) in the result")
-		chaosOn      = flag.Bool("chaos", false, "chaos mode: kill fleet primaries through /debug/fleet mid-run and assert zero lost lifecycles and bounded auto-remediation (exit 1 on violation)")
-		chaosURL     = flag.String("chaos-url", "http://127.0.0.1:7732/debug/fleet", "chaos: the target's /debug/fleet URL")
-		chaosFirst   = flag.Duration("chaos-first", 3*time.Second, "chaos: first kill, measured from run start (warmup included)")
-		chaosEvery   = flag.Duration("chaos-every", 5*time.Second, "chaos: gap between kills")
-		chaosKills   = flag.Int("chaos-kills", 3, "chaos: number of primaries to kill")
-		chaosBound   = flag.Duration("chaos-bound", 10*time.Second, "chaos: max allowed time from kill to the member reporting healthy")
-		skew         = flag.String("skew", "uniform", "path key distribution: uniform or zipf")
-		zipfS        = flag.Float64("zipf-s", 1.2, "zipf skew exponent (>1)")
-		meanBytes    = flag.Float64("mean-bytes", 1<<20, "mean synthetic transfer size reported at connection end")
-		timeout      = flag.Duration("timeout", 2*time.Second, "per-request timeout")
-		seed         = flag.Int64("seed", 1, "PRNG seed")
-		out          = flag.String("out", "", "write the JSON result here (default stdout)")
-		traceOn      = flag.Bool("trace", false, "trace lifecycles end to end (propagated to the server over the wire)")
-		traceDump    = flag.String("trace-dump", "", "write retained traces in text form to this file at exit (requires -trace)")
-		debugAddr    = flag.String("debug-addr", "", "serve /debug/traces and pprof on this address while running")
-		logLevel     = flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
-		logJSON      = flag.Bool("log-json", false, "emit logs as JSON lines (default logfmt)")
-		satStart     = flag.Float64("sat-start", 2000, "saturate mode: first ramp step's offered rate, lifecycles/s")
-		satMax       = flag.Float64("sat-max", 1e6, "saturate mode: safety cap on offered rate (the ramp stops there even without a knee)")
-		satFactor    = flag.Float64("sat-factor", 1.5, "saturate mode: geometric offered-rate multiplier per step")
-		satStep      = flag.Duration("sat-step", 5*time.Second, "saturate mode: measured window per ramp step")
-		satSettle    = flag.Duration("sat-settle", 1*time.Second, "saturate mode: settling time after each rate change, excluded from the step's measurement")
-		satRatio     = flag.Float64("sat-ratio", 3, "saturate mode: p99 blowup over the flat-region baseline that marks a step offending")
-		satConfirm   = flag.Int("sat-confirm", 2, "saturate mode: consecutive offending steps that confirm the knee")
-		satMinAch    = flag.Float64("sat-min-achieved", 0.9, "saturate mode: achieved/offered floor below which a step is offending")
-		pprofURL     = flag.String("pprof-url", "", "saturate mode: server debug base URL (e.g. http://127.0.0.1:7732); CPU and heap profiles are captured there at the knee")
-		profileDur   = flag.Duration("profile-dur", 5*time.Second, "saturate mode: CPU profile length, captured while holding knee-rate load")
-		stagesURL    = flag.String("stages-url", "", "saturate mode: fetch this /debug/stages JSON after the ramp and embed it as the server-side decomposition")
-		resourcesURL = flag.String("resources-url", "", "saturate mode: fetch this /debug/resources JSON after the ramp and embed it as the server-side runtime/wire attribution")
-		contextURL   = flag.String("context-url", "", "saturate mode: poll this /debug/context JSON per ramp step for coverage/accuracy attribution, and embed the final snapshot in the result")
-		profPrefix   = flag.String("profile-prefix", "", "saturate mode: path prefix for the knee profile files (default: the -out path minus .json)")
-		ipfixAddr    = flag.String("ipfix-addr", "127.0.0.1:4739", "ipfix mode: collector UDP address to flood")
-		ipfixFlows   = flag.Int("ipfix-flows", 256, "ipfix modes: concurrent synthetic TCP flows")
-		ipfixPaths   = flag.Int("ipfix-paths", 16, "ipfix modes: distinct destination /24 paths")
-		ipfixLoss    = flag.Float64("ipfix-loss", 0.01, "ipfix modes: planted retransmit probability")
-		ipfixRate    = flag.Float64("ipfix-rate", 0, "ipfix mode: records/s pacing (0 = unpaced)")
-		benchReps    = flag.Int("bench-reps", 5, "ipfixbench mode: best-of repetitions")
+		cfg runConfig
+		sp  satParams
+		ic  ipfixConfig
 	)
+	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:7731", "context server address")
+	flag.StringVar(&cfg.Mode, "mode", "closed", "load model: closed (worker pool) or open (Poisson arrivals)")
+	flag.IntVar(&cfg.Workers, "workers", 32, "closed-loop worker count (one connection each)")
+	flag.Float64Var(&cfg.RatePerSec, "rate", 1000, "open-loop arrival rate, lifecycles/s")
+	flag.IntVar(&cfg.Conns, "conns", 64, "open-loop connection pool size")
+	flag.IntVar(&cfg.MaxInflight, "max-inflight", 4096, "open-loop bound on concurrent lifecycles (excess arrivals are dropped and counted)")
+	duration := flag.Duration("duration", 30*time.Second, "measured run length (after warmup)")
+	warmup := flag.Duration("warmup", 2*time.Second, "warmup length excluded from results")
+	flag.IntVar(&cfg.Paths, "paths", 64, "distinct path keys")
+	pathPrefix := flag.String("path-prefix", "path-", "path key prefix")
+	flag.StringVar(&cfg.Grid, "grid", "", "structure path keys over a SxIxM service/ISP/metro grid (e.g. 1x4x4): keys become svc-i/isp-j/metro-k/p-n, the slices the server's health monitor localizes over")
+	flag.StringVar(&cfg.FaultMatch, "fault-match", "", "mid-run fault injection: suppress lifecycles whose path contains this substring (e.g. isp-1/metro-1)")
+	faultAfter := flag.Duration("fault-after", 10*time.Second, "fault start, measured from run start (warmup included)")
+	faultFor := flag.Duration("fault-for", 15*time.Second, "fault duration (0 = until the run ends)")
+	flag.StringVar(&cfg.DebugURL, "debug-url", "", "the target's debug base URL (its -metrics-addr, e.g. http://127.0.0.1:7732). Its /debug/ index is read once at start-up and every scrape derives from it: saturate mode embeds /debug/stages, /debug/resources and /debug/context and captures knee profiles; -fault-match polls /debug/health and reports detection and time-to-detect; -chaos drives /debug/fleet")
+	flag.BoolVar(&cfg.Chaos, "chaos", false, "chaos mode: kill fleet primaries through the target's /debug/fleet mid-run and assert zero lost lifecycles and bounded auto-remediation (exit 1 on violation); requires -debug-url")
+	chaosFirst := flag.Duration("chaos-first", 3*time.Second, "chaos: first kill, measured from run start (warmup included)")
+	chaosEvery := flag.Duration("chaos-every", 5*time.Second, "chaos: gap between kills")
+	chaosKills := flag.Int("chaos-kills", 3, "chaos: number of primaries to kill")
+	chaosBound := flag.Duration("chaos-bound", 10*time.Second, "chaos: max allowed time from kill to the member reporting healthy")
+	flag.StringVar(&cfg.Skew, "skew", "uniform", "path key distribution: uniform or zipf")
+	flag.Float64Var(&cfg.ZipfS, "zipf-s", 1.2, "zipf skew exponent (>1)")
+	flag.Float64Var(&cfg.MeanBytes, "mean-bytes", 1<<20, "mean synthetic transfer size reported at connection end")
+	timeout := flag.Duration("timeout", 2*time.Second, "per-request timeout")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "PRNG seed")
+	out := flag.String("out", "", "write the JSON result here (default stdout)")
+	traceOn := flag.Bool("trace", false, "trace lifecycles end to end (propagated to the server over the wire)")
+	traceDump := flag.String("trace-dump", "", "write retained traces in text form to this file at exit (requires -trace)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/traces and pprof on this address while running")
+	logLevel := flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
+	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines (default logfmt)")
+	flag.Float64Var(&sp.StartRate, "sat-start", 2000, "saturate mode: first ramp step's offered rate, lifecycles/s")
+	flag.Float64Var(&sp.MaxRate, "sat-max", 1e6, "saturate mode: safety cap on offered rate (the ramp stops there even without a knee)")
+	flag.Float64Var(&sp.StepFactor, "sat-factor", 1.5, "saturate mode: geometric offered-rate multiplier per step")
+	satStep := flag.Duration("sat-step", 5*time.Second, "saturate mode: measured window per ramp step")
+	satSettle := flag.Duration("sat-settle", 1*time.Second, "saturate mode: settling time after each rate change, excluded from the step's measurement")
+	flag.Float64Var(&sp.KneeRatio, "sat-ratio", 3, "saturate mode: p99 blowup over the flat-region baseline that marks a step offending")
+	flag.IntVar(&sp.KneeConfirm, "sat-confirm", 2, "saturate mode: consecutive offending steps that confirm the knee")
+	flag.Float64Var(&sp.KneeMinAchieved, "sat-min-achieved", 0.9, "saturate mode: achieved/offered floor below which a step is offending")
+	profileDur := flag.Duration("profile-dur", 5*time.Second, "saturate mode: CPU profile length, captured through -debug-url while holding knee-rate load (0 = no knee profiles)")
+	flag.StringVar(&sp.ProfilePrefix, "profile-prefix", "", "saturate mode: path prefix for the knee profile files (default: the -out path minus .json)")
+	flag.StringVar(&ic.Addr, "ipfix-addr", "127.0.0.1:4739", "ipfix mode: collector UDP address to flood")
+	flag.IntVar(&ic.Flows, "ipfix-flows", 256, "ipfix modes: concurrent synthetic TCP flows")
+	flag.IntVar(&ic.Paths, "ipfix-paths", 16, "ipfix modes: distinct destination /24 paths")
+	flag.Float64Var(&ic.LossRate, "ipfix-loss", 0.01, "ipfix modes: planted retransmit probability")
+	flag.Float64Var(&ic.RatePerSec, "ipfix-rate", 0, "ipfix mode: records/s pacing (0 = unpaced)")
+	flag.IntVar(&ic.Reps, "bench-reps", 5, "ipfixbench mode: best-of repetitions")
 	flag.Parse()
 
 	lvl, err := tlog.ParseLevel(*logLevel)
@@ -141,80 +146,36 @@ func main() {
 	logger := tlog.New(os.Stderr, lvl, lopts...).Component("phi-load")
 
 	// The IPFIX modes share none of the wire-protocol plumbing below
-	// (no connections, no probe): dispatch before building runConfig.
-	if *mode == "ipfix" || *mode == "ipfixbench" {
-		runIPFIXMode(*mode, ipfixConfig{
-			Addr:       *ipfixAddr,
-			Flows:      *ipfixFlows,
-			Paths:      *ipfixPaths,
-			LossRate:   *ipfixLoss,
-			RatePerSec: *ipfixRate,
-			DurationS:  duration.Seconds(),
-			Reps:       *benchReps,
-			Seed:       *seed,
-		}, *out, logger)
+	// (no connections, no probe): dispatch before touching runConfig.
+	if cfg.Mode == "ipfix" || cfg.Mode == "ipfixbench" {
+		ic.DurationS, ic.Seed = duration.Seconds(), cfg.Seed
+		runIPFIXMode(cfg.Mode, ic, *out, logger)
 		return
 	}
 
-	cfg := runConfig{
-		Addr:        *addr,
-		Mode:        *mode,
-		Workers:     *workers,
-		RatePerSec:  *rate,
-		Conns:       *conns,
-		MaxInflight: *maxInflight,
-		DurationS:   duration.Seconds(),
-		WarmupS:     warmup.Seconds(),
-		Paths:       *paths,
-		Skew:        *skew,
-		ZipfS:       *zipfS,
-		MeanBytes:   *meanBytes,
-		TimeoutS:    timeout.Seconds(),
-		Seed:        *seed,
-		Grid:        *grid,
-		FaultMatch:  *faultMatch,
-		FaultAfterS: faultAfter.Seconds(),
-		FaultForS:   faultFor.Seconds(),
-		HealthURL:   *healthURL,
-	}
-	if *chaosOn {
-		cfg.ChaosURL = *chaosURL
+	cfg.DurationS, cfg.WarmupS, cfg.TimeoutS = duration.Seconds(), warmup.Seconds(), timeout.Seconds()
+	cfg.FaultAfterS, cfg.FaultForS = faultAfter.Seconds(), faultFor.Seconds()
+	if cfg.Chaos {
 		cfg.ChaosFirstS = chaosFirst.Seconds()
 		cfg.ChaosEveryS = chaosEvery.Seconds()
 		cfg.ChaosKills = *chaosKills
 		cfg.ChaosBoundS = chaosBound.Seconds()
 	}
-	var sp satParams
-	if cfg.Mode == "saturate" {
-		sp = satParams{
-			StartRate:       *satStart,
-			MaxRate:         *satMax,
-			StepFactor:      *satFactor,
-			StepS:           satStep.Seconds(),
-			SettleS:         satSettle.Seconds(),
-			KneeRatio:       *satRatio,
-			KneeConfirm:     *satConfirm,
-			KneeMinAchieved: *satMinAch,
-			PprofURL:        *pprofURL,
-			ProfileS:        profileDur.Seconds(),
-			StagesURL:       *stagesURL,
-			ResourcesURL:    *resourcesURL,
-			ContextURL:      *contextURL,
-			ProfilePrefix:   *profPrefix,
-		}
-	}
+	sp.StepS, sp.SettleS, sp.ProfileS = satStep.Seconds(), satSettle.Seconds(), profileDur.Seconds()
 	errs := cfg.validate()
 	if cfg.Mode == "saturate" {
 		errs = append(errs, sp.validate()...)
+	}
+	if cfg.DebugURL != "" {
+		errs = append(errs, resolveDebug(&cfg, &sp)...)
+	}
+	if *traceDump != "" && !*traceOn {
+		errs = append(errs, errors.New("-trace-dump requires -trace"))
 	}
 	if len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "phi-load:", e)
 		}
-		os.Exit(2)
-	}
-	if *traceDump != "" && !*traceOn {
-		fmt.Fprintln(os.Stderr, "phi-load: -trace-dump requires -trace")
 		os.Exit(2)
 	}
 
@@ -239,39 +200,30 @@ func main() {
 	}
 
 	// Fail fast if the server is unreachable before spinning anything up.
-	probe := phiwire.Dial(*addr, *timeout)
+	probe := phiwire.Dial(cfg.Addr, *timeout)
 	if _, err := probe.Lookup(makeKeys(cfg, *pathPrefix)[0]); err != nil {
 		var se phiwire.ServerError
 		if !errors.As(err, &se) {
-			logger.Fatal("context server unreachable", "addr", *addr, "err", err)
+			logger.Fatal("context server unreachable", "addr", cfg.Addr, "err", err)
 		}
 	}
 	probe.Close()
 
+	// res stays nil in saturate mode (no chaos verdict to judge below).
+	var (
+		res     *result
+		summary any
+		done    []any // the closing log line's fields
+	)
 	if cfg.Mode == "saturate" {
 		sres := runSaturate(cfg, sp, *pathPrefix, *out, tracer, logger)
-		if *traceDump != "" {
-			if err := dumpTraces(*traceDump, tracer.Collector()); err != nil {
-				logger.Error("trace dump", "err", err)
-			}
-		}
-		enc, err := json.MarshalIndent(sres, "", "  ")
-		if err != nil {
-			logger.Fatal("encode result", "err", err)
-		}
-		enc = append(enc, '\n')
-		if *out == "" {
-			os.Stdout.Write(enc)
-		} else {
-			if err := os.WriteFile(*out, enc, 0o644); err != nil {
-				logger.Fatal("write result", "err", err)
-			}
-			logger.Info("saturation run complete", "out", *out, "verdict", sres.Knee.String())
-		}
-		return
+		summary, done = sres, []any{"out", *out, "verdict", sres.Knee.String()}
+	} else {
+		res = run(cfg, *pathPrefix, tracer)
+		summary, done = res, []any{"out", *out,
+			"lifecycles_per_sec", fmt.Sprintf("%.0f", res.LifecyclesPerSec),
+			"lookup_p99_us", fmt.Sprintf("%.0f", res.Ops["lookup"].P99Us)}
 	}
-
-	res := run(cfg, *pathPrefix, tracer)
 
 	if *traceDump != "" {
 		if err := dumpTraces(*traceDump, tracer.Collector()); err != nil {
@@ -281,7 +233,7 @@ func main() {
 		}
 	}
 
-	enc, err := json.MarshalIndent(res, "", "  ")
+	enc, err := json.MarshalIndent(summary, "", "  ")
 	if err != nil {
 		logger.Fatal("encode result", "err", err)
 	}
@@ -292,14 +244,12 @@ func main() {
 		if err := os.WriteFile(*out, enc, 0o644); err != nil {
 			logger.Fatal("write result", "err", err)
 		}
-		logger.Info("run complete", "out", *out,
-			"lifecycles_per_sec", fmt.Sprintf("%.0f", res.LifecyclesPerSec),
-			"lookup_p99_us", fmt.Sprintf("%.0f", res.Ops["lookup"].P99Us))
+		logger.Info("run complete", done...)
 	}
 
 	// Chaos verdict: the whole point of -chaos is an executable
 	// assertion, so violations are an exit code, not just JSON.
-	if res.Chaos != nil {
+	if res != nil && res.Chaos != nil {
 		lost := res.ErrorsTotal + res.DegradedTotal
 		switch {
 		case lost != 0:
@@ -358,6 +308,10 @@ type runConfig struct {
 	FaultMatch  string  `json:"fault_match,omitempty"`
 	FaultAfterS float64 `json:"fault_after_s,omitempty"`
 	FaultForS   float64 `json:"fault_for_s,omitempty"`
+	DebugURL    string  `json:"debug_url,omitempty"`
+	Chaos       bool    `json:"chaos,omitempty"`
+	// HealthURL and ChaosURL are not knobs: resolveDebug derives them from
+	// the target's /debug/ index, and the echo records what was scraped.
 	HealthURL   string  `json:"health_url,omitempty"`
 	ChaosURL    string  `json:"chaos_url,omitempty"`
 	ChaosFirstS float64 `json:"chaos_first_s,omitempty"`
@@ -397,19 +351,12 @@ func (c runConfig) validate() []error {
 		if c.Workers < 1 {
 			fail("-workers must be >= 1 (got %d)", c.Workers)
 		}
-	case "open":
-		if c.RatePerSec <= 0 {
+	case "open", "saturate":
+		// Saturate's ramp schedule lives in satParams (validated there)
+		// and replaces -rate; the open-loop plumbing knobs are shared.
+		if c.Mode == "open" && c.RatePerSec <= 0 {
 			fail("-rate must be > 0 (got %v)", c.RatePerSec)
 		}
-		if c.Conns < 1 {
-			fail("-conns must be >= 1 (got %d)", c.Conns)
-		}
-		if c.MaxInflight < 1 {
-			fail("-max-inflight must be >= 1 (got %d)", c.MaxInflight)
-		}
-	case "saturate":
-		// The ramp schedule itself lives in satParams (validated there);
-		// the shared open-loop plumbing knobs are checked here.
 		if c.Conns < 1 {
 			fail("-conns must be >= 1 (got %d)", c.Conns)
 		}
@@ -462,7 +409,10 @@ func (c runConfig) validate() []error {
 			fail("-fault-after %vs is past the end of the run (%vs)", c.FaultAfterS, c.WarmupS+c.DurationS)
 		}
 	}
-	if c.ChaosURL != "" {
+	if c.Chaos {
+		if c.DebugURL == "" {
+			fail("-chaos requires -debug-url (the fleet's /debug/fleet is reached through it)")
+		}
 		if c.ChaosKills < 1 {
 			fail("-chaos-kills must be >= 1 (got %d)", c.ChaosKills)
 		}
@@ -520,6 +470,15 @@ type runStats struct {
 	dropped    atomic.Uint64 // open loop: arrivals past max-inflight
 }
 
+// errors sums the three ops' transport and server (degrade) errors.
+func (st *runStats) errors() (transport, server uint64) {
+	for _, o := range []*opStats{st.lookup, st.start, st.end} {
+		transport += o.transport.Load()
+		server += o.server.Load()
+	}
+	return transport, server
+}
+
 func newRunStats() *runStats {
 	return &runStats{
 		lookup:    newOpStats(),
@@ -563,19 +522,9 @@ type opResult struct {
 }
 
 func (o *opStats) result() opResult {
-	s := o.lat.Snapshot()
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	return opResult{
-		Count:           s.Count,
-		TransportErrors: o.transport.Load(),
-		ServerErrors:    o.server.Load(),
-		MeanUs:          s.Mean() / 1e3,
-		P50Us:           us(s.Quantile(0.50)),
-		P90Us:           us(s.Quantile(0.90)),
-		P99Us:           us(s.Quantile(0.99)),
-		P999Us:          us(s.Quantile(0.999)),
-		MaxUs:           us(s.Max()),
-	}
+	r := histResult(o.lat.Snapshot())
+	r.TransportErrors, r.ServerErrors = o.transport.Load(), o.server.Load()
+	return r
 }
 
 // result is the machine-readable run summary (BENCH_loadgen.json).
@@ -807,18 +756,15 @@ func (w *healthWatcher) start(stop <-chan struct{}, wg *sync.WaitGroup) {
 }
 
 func (w *healthWatcher) poll() {
-	resp, err := http.Get(w.url)
+	var snap healthSnapshot
+	raw, err := fetchJSON(w.url)
+	if err == nil {
+		err = json.Unmarshal(raw, &snap)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.res.Polls++
 	if err != nil {
-		w.res.PollErrors++
-		return
-	}
-	var snap healthSnapshot
-	derr := json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if derr != nil {
 		w.res.PollErrors++
 		return
 	}
@@ -858,6 +804,96 @@ func (w *healthWatcher) summary() *healthResult {
 	return &r
 }
 
+// openLoop is the arrival machinery open and saturate modes share: a
+// fixed connection pool that lifecycles grab round-robin, a bounded pool
+// of in-flight workers, and a Poisson arrival generator that never
+// blocks — an arrival that finds the queue full is dropped and counted,
+// because queuing it would silently close the loop.
+type openLoop struct {
+	cfg    runConfig
+	prefix string
+	tracer *trace.Tracer
+	wire   *obs.WireCounters // shared by the whole pool; nil = unattributed
+	fault  *faultCtl         // nil = no suppression
+	active *atomic.Pointer[runStats]
+	rate   func() float64 // offered lifecycles/s, re-read for every arrival
+	slack  time.Duration  // the generator parks on a timer only when further ahead of schedule than this
+}
+
+// start dials the pool and launches the workers and the generator, which
+// exit when stop closes (wg tracks them). The returned function closes
+// the pool; call it after wg.Wait.
+func (o openLoop) start(stop <-chan struct{}, wg *sync.WaitGroup) (closePool func()) {
+	cfg := o.cfg
+	pool := make([]*phiwire.Client, cfg.Conns)
+	for i := range pool {
+		pool[i] = phiwire.Dial(cfg.Addr, time.Duration(cfg.TimeoutS*float64(time.Second)))
+		pool[i].SetTracer(o.tracer)
+		pool[i].SetWire(o.wire)
+	}
+	var next atomic.Uint64
+	type arrival struct{ at time.Time }
+	queue := make(chan arrival, cfg.MaxInflight)
+	for w := 0; w < cfg.MaxInflight; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pick := pathPicker(cfg, o.prefix, cfg.Seed+int64(w))
+			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(w)<<20))
+			for a := range queue {
+				st := o.active.Load()
+				st.queueWait.Observe(time.Since(a.at))
+				path := pick()
+				if o.fault.drop(path) {
+					continue // arrival consumed, lifecycle suppressed
+				}
+				cl := pool[next.Add(1)%uint64(len(pool))]
+				lifecycle(o.tracer, cl, path, st, rng, cfg.MeanBytes)
+				// Coordinated-omission correction: the lifecycle is
+				// charged from its *scheduled* arrival, so time spent
+				// waiting for a worker counts against the server.
+				st.life.Observe(time.Since(a.at))
+			}
+		}(w)
+	}
+	// Poisson arrival process: exponential inter-arrival gaps at the
+	// current rate, independent of completions (open loop).
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(queue)
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		nextAt := time.Now()
+		for {
+			gap := time.Duration(rng.ExpFloat64() / o.rate() * float64(time.Second))
+			nextAt = nextAt.Add(gap)
+			if d := time.Until(nextAt); d > o.slack {
+				select {
+				case <-stop:
+					return
+				case <-time.After(d):
+				}
+			} else {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+			select {
+			case queue <- arrival{at: nextAt}:
+			default:
+				o.active.Load().dropped.Add(1)
+			}
+		}
+	}()
+	return func() {
+		for _, cl := range pool {
+			cl.Close()
+		}
+	}
+}
+
 func run(cfg runConfig, prefix string, tracer *trace.Tracer) *result {
 	warmStats := newRunStats()
 	mainStats := newRunStats()
@@ -881,7 +917,7 @@ func run(cfg runConfig, prefix string, tracer *trace.Tracer) *result {
 		watcher.start(stop, &wg)
 	}
 	var chaos *chaosCtl
-	if cfg.ChaosURL != "" {
+	if cfg.Chaos {
 		chaos = newChaosCtl(cfg)
 		chaos.start(stop, &wg)
 	}
@@ -916,75 +952,9 @@ func run(cfg runConfig, prefix string, tracer *trace.Tracer) *result {
 			}(w)
 		}
 	case "open":
-		// Fixed connection pool; lifecycles grab connections round-robin.
-		pool := make([]*phiwire.Client, cfg.Conns)
-		for i := range pool {
-			pool[i] = phiwire.Dial(cfg.Addr, time.Duration(cfg.TimeoutS*float64(time.Second)))
-			pool[i].SetTracer(tracer)
-		}
-		defer func() {
-			for _, cl := range pool {
-				cl.Close()
-			}
-		}()
-		var next atomic.Uint64
-		type arrival struct{ at time.Time }
-		queue := make(chan arrival, cfg.MaxInflight)
-		for w := 0; w < cfg.MaxInflight; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				pick := pathPicker(cfg, prefix, cfg.Seed+int64(w))
-				rng := rand.New(rand.NewSource(cfg.Seed ^ int64(w)<<20))
-				for a := range queue {
-					st := active.Load()
-					st.queueWait.Observe(time.Since(a.at))
-					path := pick()
-					if fault.drop(path) {
-						continue // arrival consumed, lifecycle suppressed
-					}
-					cl := pool[next.Add(1)%uint64(len(pool))]
-					lifecycle(tracer, cl, path, st, rng, cfg.MeanBytes)
-					// Coordinated-omission correction: the lifecycle is
-					// charged from its *scheduled* arrival, so time spent
-					// waiting for a worker counts against the server.
-					st.life.Observe(time.Since(a.at))
-				}
-			}(w)
-		}
-		// Poisson arrival process: exponential inter-arrival gaps at
-		// -rate per second, independent of completions (open loop). If
-		// the in-flight bound is hit the arrival is dropped and counted,
-		// never queued — queuing would silently close the loop.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(queue)
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			nextAt := time.Now()
-			for {
-				gap := time.Duration(rng.ExpFloat64() / cfg.RatePerSec * float64(time.Second))
-				nextAt = nextAt.Add(gap)
-				if d := time.Until(nextAt); d > 0 {
-					select {
-					case <-stop:
-						return
-					case <-time.After(d):
-					}
-				} else {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				select {
-				case queue <- arrival{at: nextAt}:
-				default:
-					active.Load().dropped.Add(1)
-				}
-			}
-		}()
+		loop := openLoop{cfg: cfg, prefix: prefix, tracer: tracer, fault: fault, active: &active,
+			rate: func() float64 { return cfg.RatePerSec }}
+		defer loop.start(stop, &wg)()
 	}
 
 	warmup := time.Duration(cfg.WarmupS * float64(time.Second))
@@ -1003,16 +973,8 @@ func run(cfg runConfig, prefix string, tracer *trace.Tracer) *result {
 		"report_start": st.start.result(),
 		"report_end":   st.end.result(),
 	}
-	if cfg.Mode == "open" {
-		ops["queue_wait"] = histResult(st.queueWait.Snapshot())
-		ops["lifecycle"] = histResult(st.life.Snapshot())
-	}
 	totalOps := st.lookup.lat.Count() + st.start.lat.Count() + st.end.lat.Count()
-	var errs, degrades uint64
-	for _, o := range []*opStats{st.lookup, st.start, st.end} {
-		errs += o.transport.Load()
-		degrades += o.server.Load()
-	}
+	errs, degrades := st.errors()
 	res := &result{
 		Tool:             "phi-load",
 		Config:           cfg,
@@ -1027,6 +989,8 @@ func run(cfg runConfig, prefix string, tracer *trace.Tracer) *result {
 		Ops:              ops,
 	}
 	if cfg.Mode == "open" {
+		ops["queue_wait"] = histResult(st.queueWait.Snapshot())
+		ops["lifecycle"] = histResult(st.life.Snapshot())
 		res.LatencyAccounting = coAccountingNote
 	}
 	if fault != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/phiwire"
 	"repro/internal/trace"
 	tlog "repro/internal/trace/log"
 )
@@ -51,9 +49,13 @@ type satParams struct {
 	KneeRatio       float64 `json:"knee_ratio"`
 	KneeConfirm     int     `json:"knee_confirm"`
 	KneeMinAchieved float64 `json:"knee_min_achieved"`
-	PprofURL        string  `json:"pprof_url,omitempty"`
 	ProfileS        float64 `json:"profile_s,omitempty"`
-	StagesURL       string  `json:"stages_url,omitempty"`
+	// The four scrape URLs below are not knobs: resolveDebug derives them
+	// from the target's /debug/ index (-debug-url), and the echo records
+	// what was scraped. PprofURL is the debug base itself, set when the
+	// index lists the pprof endpoints and -profile-dur is nonzero.
+	PprofURL  string `json:"pprof_url,omitempty"`
+	StagesURL string `json:"stages_url,omitempty"`
 	// ResourcesURL, when set, is the server's /debug/resources endpoint;
 	// its snapshot is embedded in the result (server-side runtime + wire
 	// attribution next to the client-side measurement).
@@ -98,8 +100,8 @@ func (p satParams) validate() []error {
 	if p.KneeMinAchieved <= 0 || p.KneeMinAchieved > 1 {
 		fail("-sat-min-achieved must be in (0, 1] (got %v)", p.KneeMinAchieved)
 	}
-	if p.PprofURL != "" && p.ProfileS <= 0 {
-		fail("-profile-dur must be > 0 with -pprof-url (got %vs)", p.ProfileS)
+	if p.ProfileS < 0 {
+		fail("-profile-dur must be >= 0 (got %vs)", p.ProfileS)
 	}
 	return errs
 }
@@ -136,7 +138,7 @@ type satStepResult struct {
 	BytesPerWriteSyscall float64 `json:"bytes_per_write_syscall"`
 
 	// Context-quality attribution over the step (server side, from
-	// -context-url): fraction of the step's lookups served from fresh
+	// -debug-url): fraction of the step's lookups served from fresh
 	// evidence (delta between boundary probes) and the server's
 	// cumulative paired-RTT p90 absolute error at step end.
 	CoverageFreshFrac float64 `json:"coverage_fresh_frac,omitempty"`
@@ -237,70 +239,9 @@ func runSaturate(cfg runConfig, sp satParams, prefix, out string, tracer *trace.
 	// attributed to the run, not to a connection, which is what the per-
 	// step batching-ratio deltas need.
 	wire := obs.NewWireCounters()
-	pool := make([]*phiwire.Client, cfg.Conns)
-	for i := range pool {
-		pool[i] = phiwire.Dial(cfg.Addr, time.Duration(cfg.TimeoutS*float64(time.Second)))
-		pool[i].SetTracer(tracer)
-		pool[i].SetWire(wire)
-	}
-	defer func() {
-		for _, cl := range pool {
-			cl.Close()
-		}
-	}()
-
-	var next atomic.Uint64
-	type arrival struct{ at time.Time }
-	queue := make(chan arrival, cfg.MaxInflight)
-	for w := 0; w < cfg.MaxInflight; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pick := pathPicker(cfg, prefix, cfg.Seed+int64(w))
-			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(w)<<20))
-			for a := range queue {
-				st := active.Load()
-				st.queueWait.Observe(time.Since(a.at))
-				cl := pool[next.Add(1)%uint64(len(pool))]
-				lifecycle(tracer, cl, pick(), st, rng, cfg.MeanBytes)
-				st.life.Observe(time.Since(a.at))
-			}
-		}(w)
-	}
-
-	// Arrival generator: Poisson at the current target rate, batched
-	// pacing, never blocks on a full queue (drops are counted — queuing
-	// would close the loop and hide the overload).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(queue)
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		nextAt := time.Now()
-		for {
-			r := math.Float64frombits(rateBits.Load())
-			gap := time.Duration(rng.ExpFloat64() / r * float64(time.Second))
-			nextAt = nextAt.Add(gap)
-			if d := time.Until(nextAt); d > pacerSlack {
-				select {
-				case <-stop:
-					return
-				case <-time.After(d):
-				}
-			} else {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-			select {
-			case queue <- arrival{at: nextAt}:
-			default:
-				active.Load().dropped.Add(1)
-			}
-		}
-	}()
+	loop := openLoop{cfg: cfg, prefix: prefix, tracer: tracer, wire: wire, active: &active,
+		rate: func() float64 { return math.Float64frombits(rateBits.Load()) }, slack: pacerSlack}
+	defer loop.start(stop, &wg)()
 
 	// The ramp: settle, measure, judge; stop on a confirmed knee or at
 	// the safety cap.
@@ -344,11 +285,7 @@ func runSaturate(cfg runConfig, sp satParams, prefix, out string, tracer *trace.
 		life := histResult(st.life.Snapshot())
 		lifecycles := st.lifecycles.Load()
 		achieved := float64(lifecycles) / measured
-		var terrs, serrs uint64
-		for _, o := range []*opStats{st.lookup, st.start, st.end} {
-			terrs += o.transport.Load()
-			serrs += o.server.Load()
-		}
+		terrs, serrs := st.errors()
 		// Per-op attribution: process-wide heap alloc deltas over the window
 		// divided by completed lifecycles (each lifecycle = 3 wire requests),
 		// plus the batching ratios over the same window's wire deltas.
@@ -428,29 +365,23 @@ func runSaturate(cfg runConfig, sp satParams, prefix, out string, tracer *trace.
 	if clientStages != nil {
 		res.StagesClient = clientStages.Summaries()
 	}
-	if sp.StagesURL != "" {
-		raw, err := fetchJSON(sp.StagesURL)
-		if err != nil {
-			logger.Error("fetch server stages", "url", sp.StagesURL, "err", err)
-		} else {
-			res.StagesServer = raw
+	for _, scrape := range []struct {
+		what, url string
+		into      *json.RawMessage
+	}{
+		{"stages", sp.StagesURL, &res.StagesServer},
+		{"resources", sp.ResourcesURL, &res.ResourcesServer},
+		{"context", sp.ContextURL, &res.Context},
+	} {
+		if scrape.url == "" {
+			continue
 		}
-	}
-	if sp.ResourcesURL != "" {
-		raw, err := fetchJSON(sp.ResourcesURL)
+		raw, err := fetchJSON(scrape.url)
 		if err != nil {
-			logger.Error("fetch server resources", "url", sp.ResourcesURL, "err", err)
-		} else {
-			res.ResourcesServer = raw
+			logger.Error("fetch server "+scrape.what, "url", scrape.url, "err", err)
+			continue
 		}
-	}
-	if sp.ContextURL != "" {
-		raw, err := fetchJSON(sp.ContextURL)
-		if err != nil {
-			logger.Error("fetch server context", "url", sp.ContextURL, "err", err)
-		} else {
-			res.Context = raw
-		}
+		*scrape.into = raw
 	}
 	logger.Info("saturation ramp done", "steps", len(steps), "verdict", knee.String())
 	return res

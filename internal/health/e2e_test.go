@@ -1,7 +1,8 @@
 package health_test
 
 // End-to-end test of the live health pipeline over real TCP: a phiwire
-// server fronts a phi.Server with a health monitor attached, a
+// server fronts a 1-shard cluster with a health monitor attached at the
+// wire server and the frontend (the daemon's wiring at -shards 1), a
 // phi-load-style workload drives structured grid paths over the wire,
 // and mid-run one slice of the workload goes dark — the fault mode
 // phi-load injects with -fault-match. The monitor must detect the dip
@@ -23,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/health"
 	"repro/internal/phi"
 	"repro/internal/phiwire"
@@ -106,12 +108,12 @@ func TestEndToEndFaultDetectionOverTCP(t *testing.T) {
 	stopMon := mon.Start()
 	defer stopMon()
 
-	backend := phi.NewServer(
-		func() sim.Time { return sim.Time(time.Now().UnixNano()) },
-		phi.ServerConfig{},
-	)
-	backend.SetHealth(mon)
-	srv := phiwire.NewServer(backend, nil)
+	cl := cluster.New(cluster.Config{
+		Shards: 1,
+		Clock:  func() sim.Time { return sim.Time(time.Now().UnixNano()) },
+	})
+	cl.Health(mon)
+	srv := phiwire.NewServer(cl.Frontend, nil)
 	srv.SetHealth(mon)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -218,16 +220,16 @@ detect:
 	}
 
 	// Localization: the pins must implicate the suppressed ISP/metro
-	// pair. It can sharpen on a later sweep, so poll briefly.
-	localized := false
+	// pair. A first sweep over a short history can pin only part of it
+	// (e.g. "metro=metro-1 service=svc-0") and sharpen on a later one, so
+	// poll until both dimensions are named and fail on the last answer.
+	localized, last := false, ""
 	for i := 0; i < 20 && !localized; i++ {
 		snap := getHealth(t, healthURL)
 		for _, a := range snap.Active {
 			if a.Scope == badSlice && a.Localization != "" {
-				if !strings.Contains(a.Localization, "isp-1") || !strings.Contains(a.Localization, "metro-1") {
-					t.Fatalf("localization %q does not implicate isp-1/metro-1", a.Localization)
-				}
-				localized = true
+				last = a.Localization
+				localized = strings.Contains(last, "isp-1") && strings.Contains(last, "metro-1")
 			}
 		}
 		if !localized {
@@ -235,7 +237,7 @@ detect:
 		}
 	}
 	if !localized {
-		t.Fatal("anomaly never localized")
+		t.Fatalf("localization never implicated isp-1/metro-1; last = %q", last)
 	}
 
 	// The alert must exist as a structured log record ...

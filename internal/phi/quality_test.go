@@ -215,10 +215,9 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// Quality-hook overhead benchmarks, mirroring the health pair: the
-// disabled case is the acceptance bar (one nil check over the plain
-// server); the attached case pays the tracker's atomics and pairing
-// table.
+// Quality-hook overhead benchmarks: the disabled case is the acceptance
+// bar (one nil check over the plain server); the attached case pays the
+// tracker's atomics and pairing table.
 func benchQualityLookup(b *testing.B, attach bool) {
 	var now sim.Time
 	s := NewServer(func() sim.Time { now += sim.Millisecond; return now }, ServerConfig{})

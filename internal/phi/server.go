@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/health"
 	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -94,11 +93,6 @@ type Server struct {
 	// discipline as metrics). Set before serving.
 	tracer *trace.Tracer
 
-	// health feeds the live anomaly monitor (nil = unmonitored; its
-	// Record methods are nil-safe, so the hot path pays one branch).
-	// Set before serving.
-	health *health.Monitor
-
 	// quality feeds the context-quality observatory (nil = unmeasured;
 	// same one-branch discipline — the tracker's methods are nil-safe
 	// too, so this hook costs nothing when quality is off). Set before
@@ -109,10 +103,6 @@ type Server struct {
 	// tests and Stats readers never take s.mu.
 	evicted atomic.Uint64
 }
-
-// SetHealth attaches (or detaches, with nil) the live health monitor.
-// Call before serving.
-func (s *Server) SetHealth(m *health.Monitor) { s.health = m }
 
 // SetQuality attaches (or detaches, with nil) the context-quality
 // tracker. Call before serving. The tracker is typically shared by
@@ -303,9 +293,6 @@ func (s *Server) Lookup(path PathKey) (Context, error) {
 		m.Lookups.Inc()
 		m.LookupSeconds.Observe(time.Since(start))
 	}
-	if h := s.health; h != nil {
-		h.RecordLookup(string(path))
-	}
 	if q != nil {
 		q.ObserveLookup(string(path), outcome, ageActive, agePassiv, predRTT, predLoss, predValid)
 	}
@@ -328,9 +315,6 @@ func (s *Server) ReportStart(path PathKey) error {
 	if m != nil {
 		m.Reports.Inc()
 		m.ReportSeconds.Observe(time.Since(start))
-	}
-	if h := s.health; h != nil {
-		h.RecordReport(string(path))
 	}
 	return nil
 }
@@ -427,9 +411,6 @@ func (s *Server) report(path PathKey, r Report, end bool) error {
 			m.PassiveReports.Inc()
 		}
 		m.ReportSeconds.Observe(time.Since(start))
-	}
-	if h := s.health; h != nil {
-		h.RecordReport(string(path))
 	}
 	if qt != nil && weight > 0 && r.AvgRTT > 0 {
 		src := quality.SourceActive

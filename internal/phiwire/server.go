@@ -189,15 +189,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Addr returns the bound address, or nil before Serve.
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()

@@ -181,22 +181,17 @@ func Serve(addr string, reg *Registry, extra ...Endpoint) (*MetricsServer, error
 	mux := http.NewServeMux()
 	entries := make([]debugEntry, 0, len(routes))
 	paths := make([]string, 0, len(routes))
-	indexFree := true
 	for _, e := range routes {
 		mux.Handle(e.Path, e.Handler)
 		entries = append(entries, debugEntry{Path: e.Path, Desc: e.Desc})
 		paths = append(paths, e.Path)
-		if e.Path == "/debug/" {
-			indexFree = false
-		}
 	}
-	// The /debug/ index lists everything mounted here, so an operator
-	// needs to remember one URL, not eight. Registered last and only if
-	// no extra endpoint claimed the path; specific /debug/* routes above
-	// still win in the mux.
-	if indexFree {
-		mux.Handle("/debug/", debugIndexHandler(entries))
-	}
+	// The /debug/ index lists everything mounted here, so an operator —
+	// and phi-load's -debug-url, which derives every scrape from it —
+	// needs one URL, not eight. It is always the index (an extra endpoint
+	// may not claim the path); specific /debug/* routes above still win
+	// in the mux.
+	mux.Handle("/debug/", debugIndexHandler(entries))
 	mux.Handle("/", reg.Handler())
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
