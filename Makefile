@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet race bench-module cover test test-short bench bench-smoke bench-sim bench-ingest fuzz-smoke alloc-gate load saturate saturate-smoke bench-diff ingest-demo trace-demo health-demo chaos-demo experiments experiments-full experiments-compare golden-manifest examples clean
+.PHONY: all build vet race bench-module cover test test-short bench bench-smoke fuzz-smoke alloc-gate saturate saturate-smoke bench-diff ingest-demo trace-demo health-demo chaos-demo experiments experiments-full experiments-compare golden-manifest examples clean
 
 all: build vet race bench-module
 
@@ -37,24 +37,14 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Microbenchmarks: the per-figure harnesses in the root package plus the
-# substrate benches — telemetry record path, phiwire encode/decode and
-# handler, phi.Server instrumented-vs-bare lookup/report.
+# Microbenchmarks, for exploring in-process hot paths (BENCHMARK.json,
+# run by bench/run.sh, is what decides whether a change is faster): the
+# per-figure harnesses in the root package plus the substrate benches —
+# telemetry record path, phiwire encode/decode and handler, phi.Server
+# lookup/report, the passive-ingest pipeline (PipelineIngest: records/s,
+# ns/record) and the simulator probe (ProbeOverhead: detached vs attached).
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/telemetry ./internal/phiwire ./internal/phi
-
-# Seed load-generation run: drive a local 4-shard phi-cluster for 30s
-# open-loop at 2000 lifecycles/s and write BENCH_loadgen.json
-# (DESIGN.md §8.3). Fixed seed so reruns are comparable.
-load:
-	$(GO) build -o /tmp/phi-load-bench-cluster ./cmd/phi-cluster
-	$(GO) build -o /tmp/phi-load-bench-load ./cmd/phi-load
-	/tmp/phi-load-bench-cluster -listen 127.0.0.1:7731 -shards 4 \
-		-metrics-addr 127.0.0.1:7732 & \
-	CLUSTER=$$!; trap 'kill $$CLUSTER' EXIT; sleep 1; \
-	/tmp/phi-load-bench-load -addr 127.0.0.1:7731 -mode open -rate 2000 \
-		-duration 30s -warmup 2s -paths 64 -skew zipf -seed 42 \
-		-out BENCH_loadgen.json
+	$(GO) test -bench=. -benchmem . ./internal/telemetry ./internal/phiwire ./internal/phi ./internal/ingest ./internal/sim
 
 # Find the ceiling (DESIGN.md §14): ramp the offered rate against a
 # local 4-shard cluster until the online knee detector confirms the p99
@@ -124,14 +114,6 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=10s ./internal/phiwire || exit 1; \
 	done
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeIPFIX$$' -fuzztime=10s ./internal/ipfix
-
-# Passive-ingest pipeline benchmark (DESIGN.md §12): decode + track +
-# report throughput against a real phi.Server, best of 5 in-process
-# reps, plus the counted-drop shed behavior at 2x that rate, written to
-# BENCH_ingest.json. Fixed seed so reruns are comparable.
-bench-ingest:
-	$(GO) run ./cmd/phi-load -mode ipfixbench -bench-reps 5 -seed 42 \
-		-out BENCH_ingest.json
 
 # Passive-ingest demo: an unsharded context server (phi-cluster
 # -shards 1) with the IPFIX collector on, a 5s synthetic export flood (no
@@ -222,14 +204,6 @@ chaos-demo:
 	curl -s 'http://127.0.0.1:7732/debug/fleet?format=text'; \
 	echo "--- chaos schedule summary ---"; \
 	sed -n '/"chaos":/,$$p' /tmp/phi-chaos-demo.json
-
-# Simulator throughput benchmark: the fixed reference scenario with the
-# time-series probe detached vs attached, written to BENCH_sim.json
-# (engine events/sec per arm plus the overhead fraction; budget 5%).
-# Fixed seed so reruns are comparable.
-bench-sim:
-	$(GO) run ./cmd/phi-sim -senders 8 -duration 300s -seed 42 \
-		-probe-interval 100ms -bench-reps 12 -bench-out BENCH_sim.json
 
 # Regenerate every table and figure (coarse ~ minutes). Each run also
 # writes results/manifest_all.json; watch a run live with

@@ -227,20 +227,6 @@ func BenchmarkScenarioRun(b *testing.B) {
 	}
 }
 
-func BenchmarkContextServerLookup(b *testing.B) {
-	srv := phi.NewServer(func() sim.Time { return 0 }, phi.ServerConfig{})
-	srv.RegisterPath("p", 1_000_000)
-	_ = srv.ReportStart("p")
-	_ = srv.ReportEnd("p", phi.Report{Bytes: 1000, AvgRTT: 160 * sim.Millisecond, MinRTT: 150 * sim.Millisecond})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.Lookup("p"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWireLookupRoundTrip(b *testing.B) {
 	backend := phi.NewServer(func() sim.Time { return sim.Time(time.Now().UnixNano()) }, phi.ServerConfig{})
 	srv := phiwire.NewServer(backend, nil)

@@ -73,7 +73,6 @@ func (r row) delta() float64 {
 
 // report is the full comparison outcome.
 type report struct {
-	Kind       string // "loadgen", "saturation", or "ingest"
 	Rows       []row
 	Violations []string // -require-knee / -min-rate failures
 }
@@ -91,7 +90,7 @@ func (r *report) failed() bool {
 }
 
 func (r *report) write(w io.Writer, oldPath, newPath string) {
-	fmt.Fprintf(w, "phi-bench-diff: %s result, %s -> %s\n\n", r.Kind, oldPath, newPath)
+	fmt.Fprintf(w, "phi-bench-diff: saturation result, %s -> %s\n\n", oldPath, newPath)
 	fmt.Fprintf(w, "%-36s %14s %14s %8s  %s\n", "metric", "old", "new", "delta", "verdict")
 	for _, m := range r.Rows {
 		verdict := "ok"
@@ -121,21 +120,15 @@ func tolSign(m row) float64 {
 	return 1
 }
 
-// compare classifies both documents, extracts the comparable metric set,
-// and applies the tolerances. The two files must be the same kind of
-// result — diffing a saturation curve against a fixed-rate run is a
-// category error, not a regression.
+// compare checks that both documents are phi-load saturation results
+// (the one kind anything feeds this gate), extracts the comparable metric
+// set, and applies the tolerances.
 func compare(oldDoc, newDoc map[string]any, opts options) (*report, error) {
-	oldKind := classify(oldDoc)
-	newKind := classify(newDoc)
-	if oldKind == "" || newKind == "" {
-		return nil, fmt.Errorf("unrecognized benchmark document (want phi-load loadgen, saturation, or ingest JSON)")
+	if !isSaturation(oldDoc) || !isSaturation(newDoc) {
+		return nil, fmt.Errorf("not a saturation result (want the JSON phi-load -mode saturate writes, on both sides)")
 	}
-	if oldKind != newKind {
-		return nil, fmt.Errorf("cannot diff a %s result against a %s result", newKind, oldKind)
-	}
-	rep := &report{Kind: oldKind}
-	for _, spec := range metricSpecs(oldKind) {
+	rep := &report{}
+	for _, spec := range metrics {
 		ov, okOld := num(oldDoc, spec.path...)
 		nv, okNew := num(newDoc, spec.path...)
 		if !okOld || !okNew {
@@ -152,21 +145,17 @@ func compare(oldDoc, newDoc map[string]any, opts options) (*report, error) {
 		})
 	}
 	if len(rep.Rows) == 0 {
-		return nil, fmt.Errorf("no comparable metrics found in the two %s results", oldKind)
+		return nil, fmt.Errorf("no comparable metrics found in the two saturation results")
 	}
 	if opts.RequireKnee {
-		if oldKind != "saturation" {
-			return nil, fmt.Errorf("-require-knee only applies to saturation results (got %s)", oldKind)
-		}
 		if found, ok := boolAt(newDoc, "knee", "found"); !ok || !found {
 			rep.Violations = append(rep.Violations, "candidate found no saturation knee (-require-knee)")
 		}
 	}
 	if opts.MinRate > 0 {
-		name, path := headlineRate(oldKind)
-		if nv, ok := num(newDoc, path...); ok && nv < opts.MinRate {
+		if nv, ok := num(newDoc, "max_sustainable_rate"); ok && nv < opts.MinRate {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("candidate %s %.1f is below the -min-rate floor %.1f", name, nv, opts.MinRate))
+				fmt.Sprintf("candidate max_sustainable_rate %.1f is below the -min-rate floor %.1f", nv, opts.MinRate))
 		}
 	}
 	return rep, nil
@@ -180,20 +169,10 @@ func regressed(old, new float64, better direction, tol float64) bool {
 	return new > old*(1+tol)
 }
 
-// classify names the document kind by its distinguishing fields.
-func classify(doc map[string]any) string {
-	if _, ok := doc["knee"]; ok {
-		return "saturation"
-	}
-	if _, ok := doc["lifecycles_per_sec"]; ok {
-		return "loadgen"
-	}
-	if _, ok := doc["sync"]; ok {
-		if b, _ := doc["benchmark"].(string); b == "ingest" {
-			return "ingest"
-		}
-	}
-	return ""
+// isSaturation recognizes a saturation result by its knee verdict.
+func isSaturation(doc map[string]any) bool {
+	_, ok := doc["knee"]
+	return ok
 }
 
 // metricSpec is one gated metric: a JSON path, its good direction, and
@@ -205,61 +184,26 @@ type metricSpec struct {
 	class  toleranceClass
 }
 
-// metricSpecs lists what gets gated per document kind. Paths that are
-// absent on either side are skipped, so older baselines keep working as
-// results grow fields.
-func metricSpecs(kind string) []metricSpec {
-	switch kind {
-	case "saturation":
-		return []metricSpec{
-			{"max_sustainable_rate", []string{"max_sustainable_rate"}, higherBetter, rateClass},
-			{"knee.p99_us", []string{"knee", "p99_us"}, lowerBetter, latencyClass},
-			{"knee.baseline_p99_us", []string{"knee", "baseline_p99_us"}, lowerBetter, latencyClass},
-			// Efficiency attribution at the knee: heap allocations per
-			// lifecycle may not rise, and the frames-per-write-syscall
-			// batching ratio may not fall, past -tol-eff. Both are
-			// near-deterministic per build, so the class default is tight.
-			{"knee.allocs_per_op", []string{"knee", "allocs_per_op"}, lowerBetter, effClass},
-			{"knee.frames_per_syscall", []string{"knee", "frames_per_syscall"}, higherBetter, effClass},
-			// Context quality at the knee (present when the ramp ran with
-			// -debug-url): the fraction of knee-step lookups served from
-			// fresh evidence may not fall, and the paired-RTT p90 absolute
-			// error may not rise, past -tol-quality. Absent on either side
-			// (pre-quality baselines, ramps run without the endpoint) they
-			// are skipped like any other missing metric.
-			{"knee.coverage_fresh_frac", []string{"knee", "coverage_fresh_frac"}, higherBetter, qualityClass},
-			{"knee.rtt_abs_err_p90", []string{"knee", "rtt_abs_err_p90"}, lowerBetter, qualityClass},
-		}
-	case "loadgen":
-		return []metricSpec{
-			{"lifecycles_per_sec", []string{"lifecycles_per_sec"}, higherBetter, rateClass},
-			{"errors_total", []string{"errors_total"}, lowerBetter, latencyClass},
-			{"ops.lookup.p99_us", []string{"ops", "lookup", "p99_us"}, lowerBetter, latencyClass},
-			{"ops.report_start.p99_us", []string{"ops", "report_start", "p99_us"}, lowerBetter, latencyClass},
-			{"ops.report_end.p99_us", []string{"ops", "report_end", "p99_us"}, lowerBetter, latencyClass},
-			{"ops.lifecycle.p99_us", []string{"ops", "lifecycle", "p99_us"}, lowerBetter, latencyClass},
-		}
-	case "ingest":
-		return []metricSpec{
-			{"sync.records_per_sec", []string{"sync", "records_per_sec"}, higherBetter, rateClass},
-			{"sync.ns_per_record", []string{"sync", "ns_per_record"}, lowerBetter, latencyClass},
-			{"sync.allocs_per_record", []string{"sync", "allocs_per_record"}, lowerBetter, effClass},
-		}
-	}
-	return nil
-}
-
-// headlineRate names the kind's single most important throughput metric
-// (the -min-rate target).
-func headlineRate(kind string) (string, []string) {
-	switch kind {
-	case "saturation":
-		return "max_sustainable_rate", []string{"max_sustainable_rate"}
-	case "loadgen":
-		return "lifecycles_per_sec", []string{"lifecycles_per_sec"}
-	default:
-		return "sync.records_per_sec", []string{"sync", "records_per_sec"}
-	}
+// metrics lists what gets gated. Paths that are absent on either side
+// are skipped, so older baselines keep working as results grow fields.
+var metrics = []metricSpec{
+	{"max_sustainable_rate", []string{"max_sustainable_rate"}, higherBetter, rateClass},
+	{"knee.p99_us", []string{"knee", "p99_us"}, lowerBetter, latencyClass},
+	{"knee.baseline_p99_us", []string{"knee", "baseline_p99_us"}, lowerBetter, latencyClass},
+	// Efficiency attribution at the knee: heap allocations per
+	// lifecycle may not rise, and the frames-per-write-syscall
+	// batching ratio may not fall, past -tol-eff. Both are
+	// near-deterministic per build, so the class default is tight.
+	{"knee.allocs_per_op", []string{"knee", "allocs_per_op"}, lowerBetter, effClass},
+	{"knee.frames_per_syscall", []string{"knee", "frames_per_syscall"}, higherBetter, effClass},
+	// Context quality at the knee (present when the ramp ran with
+	// -debug-url): the fraction of knee-step lookups served from
+	// fresh evidence may not fall, and the paired-RTT p90 absolute
+	// error may not rise, past -tol-quality. Absent on either side
+	// (pre-quality baselines, ramps run without the endpoint) they
+	// are skipped like any other missing metric.
+	{"knee.coverage_fresh_frac", []string{"knee", "coverage_fresh_frac"}, higherBetter, qualityClass},
+	{"knee.rtt_abs_err_p90", []string{"knee", "rtt_abs_err_p90"}, lowerBetter, qualityClass},
 }
 
 // num walks a path of object keys and returns the float at the end.

@@ -25,31 +25,26 @@ const satFixture = `{
 		"coverage_fresh_frac": 0.95, "rtt_abs_err_p90": 2500}
 }`
 
-const loadFixture = `{
-	"tool": "phi-load",
-	"lifecycles_per_sec": 2002,
-	"errors_total": 0,
-	"ops": {
-		"lookup": {"p99_us": 1900},
-		"report_start": {"p99_us": 1800},
-		"report_end": {"p99_us": 1850},
-		"lifecycle": {"p99_us": 5200}
-	}
-}`
+// The two document shapes the gate used to accept and now rejects: a
+// fixed-rate phi-load run and the retired in-process ingest benchmark.
+const (
+	loadShaped = `{"tool": "phi-load", "lifecycles_per_sec": 2002, "errors_total": 0,
+		"ops": {"lookup": {"p99_us": 1900}}}`
+	ingestShaped = `{"tool": "phi-load", "benchmark": "ingest",
+		"sync": {"records_per_sec": 5100000, "ns_per_record": 195, "allocs_per_record": 0.03}}`
+)
 
 func defaults() options {
 	return options{TolRate: 0.10, TolLatency: 0.25, TolEff: 0.25, TolQuality: 0.5}
 }
 
 func TestIdenticalDocsPass(t *testing.T) {
-	for _, s := range []string{satFixture, loadFixture} {
-		rep, err := compare(doc(t, s), doc(t, s), defaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.failed() {
-			t.Fatalf("identical documents reported as regression: %+v", rep.Rows)
-		}
+	rep, err := compare(doc(t, satFixture), doc(t, satFixture), defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.failed() {
+		t.Fatalf("identical documents reported as regression: %+v", rep.Rows)
 	}
 }
 
@@ -78,22 +73,22 @@ func TestRateDropWithinTolerancePasses(t *testing.T) {
 }
 
 func TestLatencyRegressionFails(t *testing.T) {
-	cand := doc(t, loadFixture)
-	cand["ops"].(map[string]any)["lookup"].(map[string]any)["p99_us"] = 3000.0 // +58%
-	rep, err := compare(doc(t, loadFixture), cand, defaults())
+	cand := doc(t, satFixture)
+	cand["knee"].(map[string]any)["p99_us"] = 2400.0 // +60%
+	rep, err := compare(doc(t, satFixture), cand, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.failed() {
-		t.Fatal("58% p99 rise passed a 25% gate")
+		t.Fatal("60% p99 rise passed a 25% gate")
 	}
 }
 
 func TestImprovementNeverFails(t *testing.T) {
-	cand := doc(t, loadFixture)
-	cand["lifecycles_per_sec"] = 50000.0
-	cand["ops"].(map[string]any)["lookup"].(map[string]any)["p99_us"] = 100.0
-	rep, err := compare(doc(t, loadFixture), cand, defaults())
+	cand := doc(t, satFixture)
+	cand["max_sustainable_rate"] = 50000.0
+	cand["knee"].(map[string]any)["p99_us"] = 100.0
+	rep, err := compare(doc(t, satFixture), cand, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +97,17 @@ func TestImprovementNeverFails(t *testing.T) {
 	}
 }
 
-func TestErrorGrowthFromZeroFails(t *testing.T) {
-	cand := doc(t, loadFixture)
-	cand["errors_total"] = 7.0
-	rep, err := compare(doc(t, loadFixture), cand, defaults())
+func TestGrowthFromZeroFails(t *testing.T) {
+	// A lower-is-better metric that was exactly zero at the baseline has
+	// no fractional headroom: any growth regresses.
+	old := doc(t, satFixture)
+	old["knee"].(map[string]any)["rtt_abs_err_p90"] = 0.0
+	rep, err := compare(old, doc(t, satFixture), defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.failed() {
-		t.Fatal("errors appearing from zero passed the gate")
+		t.Fatal("error appearing from zero passed the gate")
 	}
 }
 
@@ -250,10 +247,6 @@ func TestRequireKnee(t *testing.T) {
 	if !rep.failed() || len(rep.Violations) == 0 {
 		t.Fatal("-require-knee did not fail a knee-less candidate")
 	}
-	// And on a loadgen doc it is a usage error, not a silent pass.
-	if _, err := compare(doc(t, loadFixture), doc(t, loadFixture), opts); err == nil {
-		t.Fatal("-require-knee accepted a non-saturation document")
-	}
 }
 
 func TestMinRateFloor(t *testing.T) {
@@ -268,31 +261,16 @@ func TestMinRateFloor(t *testing.T) {
 	}
 }
 
-func TestKindMismatchIsAnError(t *testing.T) {
-	if _, err := compare(doc(t, satFixture), doc(t, loadFixture), defaults()); err == nil {
-		t.Fatal("diffing saturation against loadgen did not error")
-	}
-	if _, err := compare(doc(t, `{"what": 1}`), doc(t, satFixture), defaults()); err == nil {
-		t.Fatal("unrecognized document did not error")
-	}
-}
-
-func TestMissingMetricOnOneSideIsSkipped(t *testing.T) {
-	// Baselines grown before ops.lifecycle existed must keep gating the
-	// metrics they do have.
-	old := doc(t, loadFixture)
-	delete(old["ops"].(map[string]any), "lifecycle")
-	rep, err := compare(old, doc(t, loadFixture), defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Rows {
-		if r.Name == "ops.lifecycle.p99_us" {
-			t.Fatalf("gated a metric absent from the baseline: %s", r.Name)
+func TestNonSaturationDocumentIsRejected(t *testing.T) {
+	// Saturation is the one kind the gate reads: anything else, on either
+	// side, is a usage error (exit 2 in main), never a comparison.
+	for _, other := range []string{loadShaped, ingestShaped, `{"what": 1}`} {
+		if _, err := compare(doc(t, satFixture), doc(t, other), defaults()); err == nil {
+			t.Errorf("candidate %s was compared", other)
 		}
-	}
-	if rep.failed() {
-		t.Fatal("skipped metric caused a failure")
+		if _, err := compare(doc(t, other), doc(t, other), defaults()); err == nil {
+			t.Errorf("baseline %s was compared", other)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
-// Command phi-bench-diff compares two BENCH_*.json files produced by
-// phi-load (loadgen, saturation, or ingest results) metric by metric
-// and exits non-zero when the new file regresses past per-metric
-// tolerances — the executable contract that turns committed benchmark
-// baselines into a CI gate instead of documentation.
+// Command phi-bench-diff compares two saturation results produced by
+// phi-load -mode saturate (the committed BENCH_saturation.json against a
+// fresh ramp) metric by metric and exits non-zero when the new file
+// regresses past per-metric tolerances — the executable contract that
+// turns the committed baseline into a CI gate instead of documentation.
 //
 // Throughput metrics (rates) regress when the new value falls more than
 // -tol-rate below the old; latency metrics regress when the new value
@@ -10,8 +10,7 @@
 // metrics (allocs/op, frames per write syscall) regress when they
 // worsen past -tol-eff; context-quality metrics (knee coverage fresh
 // fraction, paired-RTT p90 error) regress when they worsen past
-// -tol-quality. Error counts regress on any increase beyond the
-// latency tolerance. Improvements are reported but never fail the run.
+// -tol-quality. Improvements are reported but never fail the run.
 //
 // Usage:
 //
@@ -19,7 +18,8 @@
 //	    -tol-rate 0.25 -tol-latency 1.0 -require-knee -min-rate 2000
 //
 // Exit status: 0 all metrics within tolerance, 1 regression (or a
-// -require-knee / -min-rate violation), 2 usage or file errors.
+// -require-knee / -min-rate violation), 2 usage or file errors,
+// including a document that is not a saturation result.
 package main
 
 import (
@@ -31,14 +31,14 @@ import (
 
 func main() {
 	var (
-		oldPath     = flag.String("old", "", "baseline BENCH_*.json")
-		newPath     = flag.String("new", "", "candidate BENCH_*.json")
+		oldPath     = flag.String("old", "", "baseline saturation JSON (BENCH_saturation.json)")
+		newPath     = flag.String("new", "", "candidate saturation JSON")
 		tolRate     = flag.Float64("tol-rate", 0.10, "allowed fractional drop in throughput metrics (0.10 = -10%)")
 		tolLatency  = flag.Float64("tol-latency", 0.25, "allowed fractional rise in latency metrics (0.25 = +25%)")
 		tolEff      = flag.Float64("tol-eff", 0.25, "allowed fractional worsening in per-op efficiency metrics (allocs/op, frames/syscall)")
 		tolQuality  = flag.Float64("tol-quality", 0.5, "allowed fractional worsening in context-quality metrics (coverage fresh fraction, RTT p90 error)")
-		requireKnee = flag.Bool("require-knee", false, "fail unless the candidate saturation result found a knee")
-		minRate     = flag.Float64("min-rate", 0, "fail if the candidate's headline rate is below this floor (0 = off)")
+		requireKnee = flag.Bool("require-knee", false, "fail unless the candidate found a knee")
+		minRate     = flag.Float64("min-rate", 0, "fail if the candidate's max_sustainable_rate is below this floor (0 = off)")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {

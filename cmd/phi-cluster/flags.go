@@ -13,19 +13,18 @@ import (
 )
 
 // config is everything run needs: one field per flag (named after it),
-// with the implications already applied (-fleet-addr turns -fleet on,
-// -fleet and -health-addr turn -health on, -stages turns -trace on), so
-// run never re-derives them.
+// with the implications already applied (-fleet turns -health on,
+// -stages turns -trace on), so run never re-derives them.
 type config struct {
-	listen, metricsAddr, healthAddr, fleetAddr, ipfixAddr string
-	snapDir, policyPath, profRing                         string
-	shards, vnodes, downAfter, ipfixSample, maxPaths      int
-	window, timeout, cooldown, fleetPoll, fleetSync       time.Duration
-	snapEvery, healthWin, ipfixWindow, freshTTL           time.Duration
-	replicate, fleet, trace, stages, health, logJSON      bool
-	passiveWt                                             float64
-	logLevel                                              tlog.Level
-	paths                                                 pathFlags
+	listen, metricsAddr, ipfixAddr                   string
+	snapDir, policyPath, profRing                    string
+	shards, vnodes, downAfter, ipfixSample, maxPaths int
+	window, timeout, cooldown, fleetPoll, fleetSync  time.Duration
+	snapEvery, healthWin, ipfixWindow, freshTTL      time.Duration
+	replicate, fleet, trace, stages, health, logJSON bool
+	passiveWt                                        float64
+	logLevel                                         tlog.Level
+	paths                                            pathFlags
 
 	// clock feeds every shard's estimators. Not a flag: parseFlags sets
 	// the wall clock, tests inject their own.
@@ -47,8 +46,7 @@ func parseFlags(args []string) (config, []error) {
 	fs.IntVar(&c.downAfter, "down-after", 3, "consecutive failures before a shard is routed around")
 	fs.DurationVar(&c.cooldown, "cooldown", 5*time.Second, "down-shard reprobe cooldown")
 	fs.BoolVar(&c.replicate, "replicate", true, "mirror reports to the fallback shard")
-	fs.BoolVar(&c.fleet, "fleet", false, "run replicated shards with the autonomous remediation controller")
-	fs.StringVar(&c.fleetAddr, "fleet-addr", "", "serve /debug/fleet on a dedicated address (implies -fleet)")
+	fs.BoolVar(&c.fleet, "fleet", false, "run replicated shards with the autonomous remediation controller (view at /debug/fleet on -metrics-addr; implies -health)")
 	fs.DurationVar(&c.fleetPoll, "fleet-poll", time.Second, "fleet: remediation controller poll interval")
 	fs.DurationVar(&c.fleetSync, "fleet-sync", 30*time.Second, "fleet: periodic backup full-sync interval")
 	fs.StringVar(&c.snapDir, "snapshot-dir", "", "snapshot directory (empty = snapshots off)")
@@ -57,8 +55,7 @@ func parseFlags(args []string) (config, []error) {
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve Prometheus metrics on this address (empty = telemetry off)")
 	fs.BoolVar(&c.trace, "trace", false, "record request traces (view at /debug/traces on -metrics-addr)")
 	fs.BoolVar(&c.stages, "stages", false, "aggregate per-stage latency histograms from the span stream (view at /debug/stages on -metrics-addr; implies -trace)")
-	fs.BoolVar(&c.health, "health", false, "run the live health monitor (view at /debug/health on -metrics-addr or -health-addr)")
-	fs.StringVar(&c.healthAddr, "health-addr", "", "serve /debug/health on a dedicated address (implies -health)")
+	fs.BoolVar(&c.health, "health", false, "run the live health monitor (view at /debug/health on -metrics-addr)")
 	fs.DurationVar(&c.healthWin, "health-bucket", time.Second, "health monitor rollup bucket width")
 	fs.StringVar(&c.profRing, "prof-ring-dir", "", "rolling CPU/heap profile ring directory (default: <tmp>/phi-cluster-profring; requires -metrics-addr)")
 	fs.StringVar(&c.ipfixAddr, "ipfix-addr", "", "receive IPFIX exports on this UDP address and ingest passive context (empty = off)")
@@ -93,9 +90,8 @@ func parseFlags(args []string) (config, []error) {
 		fail("-prof-ring-dir requires -metrics-addr (the ring is served and triggered there)")
 	}
 
-	c.fleet = c.fleet || c.fleetAddr != ""
 	// The fleet controller reads the monitor's status, so -fleet runs one.
-	c.health = c.health || c.healthAddr != "" || c.fleet
+	c.health = c.health || c.fleet
 	c.trace = c.trace || c.stages // stages aggregate the span stream
 	c.clock = func() sim.Time { return sim.Time(time.Now().UnixNano()) }
 	return c, errs

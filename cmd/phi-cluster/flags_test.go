@@ -23,19 +23,18 @@ func TestParseFlagsDefaultsAndImplications(t *testing.T) {
 		t.Fatalf("optional layers on by default: %+v", c)
 	}
 
-	c, errs = parseFlags([]string{"-fleet-addr", "127.0.0.1:0", "-stages",
-		"-path", "a=100", "-path", "b=200"})
+	c, errs = parseFlags([]string{"-fleet", "-stages", "-path", "a=100", "-path", "b=200"})
 	if len(errs) != 0 {
 		t.Fatal(errs)
 	}
 	if !c.fleet || !c.health || !c.trace {
-		t.Fatalf("-fleet-addr must imply -fleet and -health, -stages must imply -trace: %+v", c)
+		t.Fatalf("-fleet must imply -health, -stages must imply -trace: %+v", c)
 	}
 	if len(c.paths) != 2 || c.paths[1].name != "b" || c.paths[1].capacity != 200 {
 		t.Fatalf("paths = %v", c.paths)
 	}
-	if c, _ = parseFlags([]string{"-health-addr", "127.0.0.1:0"}); !c.health || c.fleet {
-		t.Fatalf("-health-addr must imply -health only: %+v", c)
+	if c, _ = parseFlags([]string{"-health"}); !c.health || c.fleet {
+		t.Fatalf("-health must not turn -fleet on: %+v", c)
 	}
 	// -shards 1 is the monolith, not an error.
 	if _, errs = parseFlags([]string{"-shards", "1"}); len(errs) != 0 {
@@ -94,6 +93,12 @@ func TestParseFlagsSyntaxErrorStandsAlone(t *testing.T) {
 	_, errs := parseFlags([]string{"-no-such-flag", "-shards", "0"})
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "no-such-flag") {
 		t.Fatalf("want the lone syntax error, got %v", errs)
+	}
+	// The dedicated debug listeners are gone: everything is on -metrics-addr.
+	for _, gone := range []string{"-health-addr", "-fleet-addr"} {
+		if _, errs = parseFlags([]string{gone, "127.0.0.1:0"}); len(errs) != 1 || !strings.Contains(errs[0].Error(), "not defined") {
+			t.Fatalf("%s: want the lone flag-syntax error, got %v", gone, errs)
+		}
 	}
 	if _, errs = parseFlags([]string{"-path", "nocapacity"}); len(errs) != 1 {
 		t.Fatalf("bad -path value: %v", errs)

@@ -42,10 +42,8 @@
 //	                          backups over dead primaries, reseeds stale
 //	                          backups, and restarts dead members — no
 //	                          operator in the loop. Fleet state and chaos
-//	                          ops at /debug/fleet (on -metrics-addr and
-//	                          -fleet-addr)
-//	-fleet-addr addr          also serve /debug/fleet on a dedicated
-//	                          address (implies -fleet)
+//	                          ops at /debug/fleet on -metrics-addr.
+//	                          Implies -health
 //	-fleet-poll d             remediation controller poll interval
 //	                          (default 1s)
 //	-fleet-sync d             periodic backup full-sync interval
@@ -78,9 +76,8 @@
 //	-health                   run the live health monitor: streaming
 //	                          volume-dip detection and localization over
 //	                          the serving path, surfaced at /debug/health
-//	                          (JSON; ?format=text for a summary)
-//	-health-addr addr         also serve /debug/health on a dedicated
-//	                          address (implies -health)
+//	                          on -metrics-addr (JSON; ?format=text for a
+//	                          summary)
 //	-health-bucket d          health rollup bucket width (default 1s)
 //	-prof-ring-dir dir        rolling CPU/heap profile ring directory
 //	                          (default <tmp>/phi-cluster-profring;

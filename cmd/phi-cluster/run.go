@@ -41,9 +41,7 @@ type deployment interface {
 // addrs are the addresses run bound ("" = that listener is off).
 type addrs struct {
 	wire    string // -listen, the phiwire protocol
-	metrics string // -metrics-addr
-	health  string // -health-addr
-	fleet   string // -fleet-addr
+	metrics string // -metrics-addr: /metrics and every /debug/ endpoint
 	ipfix   string // -ipfix-addr (UDP)
 }
 
@@ -210,16 +208,6 @@ func run(ctx context.Context, cfg config, logger *tlog.Logger, ready func(addrs)
 		logger.Info("fleet controller up", "poll", cfg.fleetPoll, "sync", cfg.fleetSync, "members", cfg.shards)
 		endpoints = append(endpoints, telemetry.Endpoint{Path: "/debug/fleet", Handler: fl.Handler(),
 			Desc: "fleet members, remediation audit, chaos ops (-fleet)"})
-		if cfg.fleetAddr != "" {
-			fs, err := telemetry.Serve(cfg.fleetAddr, nil,
-				telemetry.Endpoint{Path: "/debug/fleet", Handler: fl.Handler()})
-			if err != nil {
-				return fmt.Errorf("fleet server: %w", err)
-			}
-			defer fs.Close()
-			bound.fleet = fs.Addr().String()
-			logger.Info("fleet server up", "addr", bound.fleet)
-		}
 	}
 
 	// Passive ingest: an IPFIX collector feeding reconstructed context
@@ -296,16 +284,6 @@ func run(ctx context.Context, cfg config, logger *tlog.Logger, ready func(addrs)
 		defer ms.Close()
 		bound.metrics = ms.Addr().String()
 		logger.Info("metrics server up", "addr", bound.metrics, "tracing", cfg.trace, "health", cfg.health)
-	}
-	if cfg.healthAddr != "" {
-		hs, err := telemetry.Serve(cfg.healthAddr, nil,
-			telemetry.Endpoint{Path: "/debug/health", Handler: monitor.Handler()})
-		if err != nil {
-			return fmt.Errorf("health server: %w", err)
-		}
-		defer hs.Close()
-		bound.health = hs.Addr().String()
-		logger.Info("health server up", "addr", bound.health)
 	}
 
 	ln, err := net.Listen("tcp", cfg.listen)

@@ -492,4 +492,14 @@ func TestMainExitsTwoOnBadFlags(t *testing.T) {
 	if strings.Contains(string(out), "panic") {
 		t.Errorf("panicked:\n%s", out)
 	}
+
+	// The two dedicated debug listeners were folded into -metrics-addr.
+	for _, gone := range []string{"-health-addr", "-fleet-addr"} {
+		cmd := exec.Command(os.Args[0], gone, "127.0.0.1:0")
+		cmd.Env = append(os.Environ(), "PHI_CLUSTER_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%s: want exit 2, got %v\n%s", gone, err, out)
+		}
+	}
 }

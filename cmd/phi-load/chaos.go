@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/fleet"
 )
 
 // Chaos mode: while the normal load runs, kill fleet primaries through
@@ -14,21 +16,6 @@ import (
 // error), if any remediation exceeded -chaos-bound, or if the schedule
 // could not complete — the executable assertion behind the fleet's
 // "zero lost lifecycles, bounded time-to-remediate" claim.
-
-// fleetMemberView decodes the per-member slice of /debug/fleet we need.
-type fleetMemberView struct {
-	Index       int    `json:"index"`
-	PrimaryUp   bool   `json:"primary_up"`
-	BackupUp    bool   `json:"backup_up"`
-	BackupLive  bool   `json:"backup_live"`
-	Class       string `json:"class"`
-	BreakerOpen bool   `json:"breaker_open"`
-}
-
-// fleetStatusView is the subset of the /debug/fleet document we decode.
-type fleetStatusView struct {
-	Members []fleetMemberView `json:"members"`
-}
 
 // chaosKill is one scheduled fault and its measured remediation.
 type chaosKill struct {
@@ -68,12 +55,12 @@ func newChaosCtl(cfg runConfig) *chaosCtl {
 }
 
 // fetch GETs the fleet status (optionally with an op query).
-func (c *chaosCtl) fetch(query string) (*fleetStatusView, error) {
+func (c *chaosCtl) fetch(query string) (*fleet.FleetStatus, error) {
 	raw, err := fetchJSON(c.cfg.ChaosURL + query)
 	if err != nil {
 		return nil, err
 	}
-	var st fleetStatusView
+	var st fleet.FleetStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return nil, err
 	}

@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/health"
 	"repro/internal/phi"
 	"repro/internal/phiwire"
+	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	tlog "repro/internal/trace/log"
@@ -29,10 +32,17 @@ func TestMain(m *testing.M) {
 }
 
 // jsonEndpoint mounts a fixed JSON document, standing in for one of the
-// daemon's debug handlers.
-func jsonEndpoint(path, body string) telemetry.Endpoint {
+// daemon's debug handlers. doc is the daemon's own snapshot type for that
+// endpoint (a json.RawMessage where phi-load only embeds the bytes), so
+// the documents phi-load decodes here are the ones the daemon encodes.
+func jsonEndpoint(t *testing.T, path string, doc any) telemetry.Endpoint {
+	t.Helper()
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return telemetry.Endpoint{Path: path, Desc: "test", Handler: http.HandlerFunc(
-		func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, body) })}
+		func(w http.ResponseWriter, _ *http.Request) { w.Write(body) })}
 }
 
 // debugTarget serves the real telemetry.Serve index (so the format
@@ -61,8 +71,8 @@ func closedAddr(t *testing.T) string {
 }
 
 func TestResolveDebugRequiresWhatTheModeNeeds(t *testing.T) {
-	fleet := jsonEndpoint("/debug/fleet", `{"members":[]}`)
-	health := jsonEndpoint("/debug/health", `{"status":"ok"}`)
+	fleetEP := jsonEndpoint(t, "/debug/fleet", fleet.FleetStatus{})
+	healthEP := jsonEndpoint(t, "/debug/health", health.Snapshot{Status: "ok"})
 	cases := []struct {
 		name      string
 		endpoints []telemetry.Endpoint
@@ -70,10 +80,10 @@ func TestResolveDebugRequiresWhatTheModeNeeds(t *testing.T) {
 		want      string // substring of the one expected error; "" = accepted
 	}{
 		{"plain run needs nothing", nil, func(*runConfig) {}, ""},
-		{"chaos with fleet listed", []telemetry.Endpoint{fleet}, func(c *runConfig) { c.Chaos = true }, ""},
-		{"chaos without fleet", []telemetry.Endpoint{health}, func(c *runConfig) { c.Chaos = true }, "-chaos needs /debug/fleet"},
-		{"fault detection with health listed", []telemetry.Endpoint{health}, func(c *runConfig) { c.FaultMatch = "isp-1" }, ""},
-		{"fault detection without health", []telemetry.Endpoint{fleet}, func(c *runConfig) { c.FaultMatch = "isp-1" }, "-fault-match detection needs /debug/health"},
+		{"chaos with fleet listed", []telemetry.Endpoint{fleetEP}, func(c *runConfig) { c.Chaos = true }, ""},
+		{"chaos without fleet", []telemetry.Endpoint{healthEP}, func(c *runConfig) { c.Chaos = true }, "-chaos needs /debug/fleet"},
+		{"fault detection with health listed", []telemetry.Endpoint{healthEP}, func(c *runConfig) { c.FaultMatch = "isp-1" }, ""},
+		{"fault detection without health", []telemetry.Endpoint{fleetEP}, func(c *runConfig) { c.FaultMatch = "isp-1" }, "-fault-match detection needs /debug/health"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,8 +167,10 @@ func wireTarget(t *testing.T) (srv *phiwire.Server, addr string) {
 func TestSaturateEmbedsScrapesThroughDebugBase(t *testing.T) {
 	_, addr := wireTarget(t)
 	dbg := debugTarget(t,
-		jsonEndpoint("/debug/stages", `{"stages":[{"stage":"planted"}]}`),
-		jsonEndpoint("/debug/context", `{"coverage":{"fresh":7,"stale":0,"fallback":0},"planted":true}`))
+		jsonEndpoint(t, "/debug/stages", json.RawMessage(`{"stages":[{"stage":"planted"}]}`)),
+		jsonEndpoint(t, "/debug/context", quality.Snapshot{
+			Coverage:     quality.CoverageSnapshot{Fresh: 7},
+			StalestPaths: []quality.StalePath{{Path: "planted"}}}))
 
 	cfg := base()
 	cfg.Addr, cfg.Mode, cfg.Conns, cfg.MaxInflight = addr, "saturate", 2, 8
@@ -226,5 +238,20 @@ func TestUnreachableDebugBaseFailsBeforeAnyLoad(t *testing.T) {
 	}
 	if handled, rejected := srv.Stats(); handled+rejected != 0 {
 		t.Fatalf("wire server saw %d requests before validation failed", handled+rejected)
+	}
+}
+
+// TestRetiredBenchModeIsRejected runs the real main: the in-process
+// ingest benchmark mode and its flag are gone (BenchmarkPipelineIngest
+// and TestPipelineOverloadShedsAndCounts in internal/ingest hold those
+// numbers), so asking for either is a usage error.
+func TestRetiredBenchModeIsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-mode", "ipfixbench"}, {"-bench-reps", "1"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "PHI_LOAD_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("phi-load %v: want exit 2, got %v\n%s", args, err, out)
+		}
 	}
 }

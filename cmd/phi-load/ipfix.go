@@ -1,31 +1,21 @@
-// IPFIX load modes. Where the closed/open modes drive the cooperative
-// wire protocol, these two exercise the passive-ingest path:
-//
-//   - ipfix: flood a running server's -ipfix-addr collector with
-//     synthetic TCP-template export datagrams over real UDP, optionally
-//     paced to a records/s target. The server needs no cooperation from
-//     this process beyond the datagrams themselves — that is the point
-//     of passive ingest.
-//   - ipfixbench: no network at all. Run the ingest pipeline in-process
-//     against a real phi.Server and pin two numbers in BENCH_ingest.json:
-//     the sustained single-core decode+track+report rate (best of
-//     -bench-reps, with per-record allocations), and the counted-drop
-//     behavior when offered 2x that rate through the bounded
-//     asynchronous queues.
+// IPFIX load mode. Where the closed/open modes drive the cooperative
+// wire protocol, -mode ipfix exercises the passive-ingest path: it floods
+// a running server's -ipfix-addr collector with synthetic TCP-template
+// export datagrams over real UDP, optionally paced to a records/s target.
+// The server needs no cooperation from this process beyond the datagrams
+// themselves — that is the point of passive ingest. (The in-process
+// pipeline numbers live in internal/ingest: BenchmarkPipelineIngest and
+// TestPipelineOverloadShedsAndCounts.)
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/ipfix"
 	"repro/internal/ipfix/synth"
-	"repro/internal/phi"
-	"repro/internal/sim"
 	tlog "repro/internal/trace/log"
 )
 
@@ -38,11 +28,10 @@ type ipfixConfig struct {
 	LossRate   float64 `json:"loss_rate"`
 	RatePerSec float64 `json:"rate_per_sec,omitempty"` // records/s, 0 = unpaced
 	DurationS  float64 `json:"duration_s,omitempty"`
-	Reps       int     `json:"reps,omitempty"`
 	Seed       int64   `json:"seed"`
 }
 
-func (c ipfixConfig) validate(mode string) []error {
+func (c ipfixConfig) validate() []error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
 	if c.Flows < 1 {
@@ -54,48 +43,30 @@ func (c ipfixConfig) validate(mode string) []error {
 	if c.LossRate < 0 || c.LossRate >= 1 {
 		fail("-ipfix-loss must be in [0, 1) (got %v)", c.LossRate)
 	}
-	switch mode {
-	case "ipfix":
-		if c.Addr == "" {
-			fail("-ipfix-addr must not be empty")
-		}
-		if c.DurationS <= 0 {
-			fail("-duration must be > 0 (got %vs)", c.DurationS)
-		}
-		if c.RatePerSec < 0 {
-			fail("-ipfix-rate must be >= 0 (got %v)", c.RatePerSec)
-		}
-	case "ipfixbench":
-		if c.Reps < 1 {
-			fail("-bench-reps must be >= 1 (got %d)", c.Reps)
-		}
+	if c.Addr == "" {
+		fail("-ipfix-addr must not be empty")
+	}
+	if c.DurationS <= 0 {
+		fail("-duration must be > 0 (got %vs)", c.DurationS)
+	}
+	if c.RatePerSec < 0 {
+		fail("-ipfix-rate must be >= 0 (got %v)", c.RatePerSec)
 	}
 	return errs
 }
 
-// runIPFIXMode validates, runs the chosen IPFIX mode, and writes its
-// JSON result — the IPFIX twin of main's wire-mode tail.
-func runIPFIXMode(mode string, cfg ipfixConfig, out string, logger *tlog.Logger) {
-	if errs := cfg.validate(mode); len(errs) > 0 {
+// runIPFIXMode validates, runs the flood, and writes its JSON result —
+// the IPFIX twin of main's wire-mode tail.
+func runIPFIXMode(cfg ipfixConfig, out string, logger *tlog.Logger) {
+	if errs := cfg.validate(); len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "phi-load:", e)
 		}
 		os.Exit(2)
 	}
-	var (
-		res any
-		err error
-	)
-	switch mode {
-	case "ipfix":
-		cfg.Reps = 0 // bench-only knob, keep the echoed config honest
-		res, err = runIPFIXFlood(cfg, logger)
-	case "ipfixbench":
-		cfg.Addr, cfg.RatePerSec, cfg.DurationS = "", 0, 0 // flood-only knobs
-		res, err = runIngestBench(cfg, logger)
-	}
+	res, err := runIPFIXFlood(cfg, logger)
 	if err != nil {
-		logger.Fatal("ipfix run", "mode", mode, "err", err)
+		logger.Fatal("ipfix run", "err", err)
 	}
 	enc, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -109,7 +80,7 @@ func runIPFIXMode(mode string, cfg ipfixConfig, out string, logger *tlog.Logger)
 	if err := os.WriteFile(out, enc, 0o644); err != nil {
 		logger.Fatal("write result", "err", err)
 	}
-	logger.Info("run complete", "mode", mode, "out", out)
+	logger.Info("run complete", "mode", "ipfix", "out", out)
 }
 
 // ipfixFloodResult summarizes one UDP flood run.
@@ -181,174 +152,5 @@ func runIPFIXFlood(cfg ipfixConfig, logger *tlog.Logger) (*ipfixFloodResult, err
 		Records:       stream.Emitted,
 		Retransmits:   stream.Retransmits,
 		RecordsPerSec: float64(stream.Emitted) / measured.Seconds(),
-	}, nil
-}
-
-// ingestBenchResult is BENCH_ingest.json.
-type ingestBenchResult struct {
-	Tool           string            `json:"tool"`
-	Benchmark      string            `json:"benchmark"`
-	GoVersion      string            `json:"go_version"`
-	Config         ipfixConfig       `json:"config"`
-	CorpusMessages int               `json:"corpus_messages"`
-	CorpusRecords  int               `json:"corpus_records"`
-	Sync           ingestSyncArm     `json:"sync"`
-	Overload       ingestOverloadArm `json:"overload_2x"`
-}
-
-// ingestSyncArm pins the deterministic single-goroutine capacity: every
-// record decoded, tracked, and reported inline, best of Reps.
-type ingestSyncArm struct {
-	Reps            int     `json:"reps"`
-	RecordsPerSec   float64 `json:"records_per_sec"`
-	NsPerRecord     float64 `json:"ns_per_record"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-	BytesPerRecord  float64 `json:"bytes_per_record"`
-	Reports         uint64  `json:"reports"`
-}
-
-// ingestOverloadArm pins the bounded-queue shed behavior at 2x the sync
-// arm's measured capacity: drops must be nonzero and counted, the
-// pipeline must keep delivering the remainder.
-type ingestOverloadArm struct {
-	TargetRecordsPerSec  float64 `json:"target_records_per_sec"`
-	OfferedRecords       uint64  `json:"offered_records"`
-	OfferedRecordsPerSec float64 `json:"offered_records_per_sec"`
-	DecodedRecords       uint64  `json:"decoded_records"`
-	TrackedRecords       uint64  `json:"tracked_records"`
-	DroppedDatagrams     uint64  `json:"dropped_datagrams"`
-	DroppedRecords       uint64  `json:"dropped_records"`
-	ShedFraction         float64 `json:"shed_fraction"`
-	Reports              uint64  `json:"reports"`
-}
-
-// runIngestBench measures the pipeline in-process. One unmeasured
-// warmup rep, then best-of-Reps on the synchronous arm (fresh server
-// and pipeline each rep so reps are independent), then a single
-// overload pass offering 2x the best sync rate through the
-// asynchronous queues for one wall second.
-func runIngestBench(cfg ipfixConfig, logger *tlog.Logger) (*ingestBenchResult, error) {
-	// Pre-encode the corpus (2000 virtual ms of traffic) so the arms
-	// measure the pipeline, not the generator, and count records per
-	// message with a throwaway decoder for exact offered-load accounting.
-	stream := synth.NewStream(synth.StreamConfig{
-		Flows: cfg.Flows, Paths: cfg.Paths, LossRate: cfg.LossRate, Seed: cfg.Seed,
-	})
-	enc := ipfix.NewEncoder(1)
-	msgs, err := stream.Messages(enc, 2000, 400)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(msgs))
-	corpusRecords := 0
-	{
-		dec := ipfix.NewDecoder()
-		for i, m := range msgs {
-			recs, err := dec.Decode(m)
-			if err != nil {
-				return nil, fmt.Errorf("corpus decode: %w", err)
-			}
-			counts[i] = len(recs)
-			corpusRecords += len(recs)
-		}
-	}
-	logger.Info("ingest bench corpus ready",
-		"messages", len(msgs), "records", corpusRecords)
-
-	syncRep := func() (elapsed time.Duration, allocs, bytes uint64, reports uint64, err error) {
-		var now sim.Time
-		server := phi.NewServer(func() sim.Time { return now }, phi.ServerConfig{})
-		p, err := ingest.New(ingest.Config{Sink: server, Synchronous: true})
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		for _, m := range msgs {
-			p.Datagram("bench", m)
-		}
-		p.FlushAll()
-		elapsed = time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		return elapsed, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc,
-			p.Snapshot().Reports, nil
-	}
-
-	if _, _, _, _, err := syncRep(); err != nil { // warmup, unmeasured
-		return nil, err
-	}
-	var sync ingestSyncArm
-	sync.Reps = cfg.Reps
-	best := time.Duration(0)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		elapsed, allocs, bytes, reports, err := syncRep()
-		if err != nil {
-			return nil, err
-		}
-		if best == 0 || elapsed < best {
-			best = elapsed
-			n := float64(corpusRecords)
-			sync.RecordsPerSec = n / elapsed.Seconds()
-			sync.NsPerRecord = float64(elapsed.Nanoseconds()) / n
-			sync.AllocsPerRecord = float64(allocs) / n
-			sync.BytesPerRecord = float64(bytes) / n
-			sync.Reports = reports
-		}
-	}
-	logger.Info("sync arm done",
-		"records_per_sec", fmt.Sprintf("%.0f", sync.RecordsPerSec),
-		"allocs_per_record", fmt.Sprintf("%.2f", sync.AllocsPerRecord))
-
-	// Overload arm: offer the corpus in a loop at 2x the sync capacity
-	// for one second. The bounded queues must shed — counted, never
-	// unbounded — while the pipeline keeps absorbing what fits.
-	target := 2 * sync.RecordsPerSec
-	var now sim.Time
-	server := phi.NewServer(func() sim.Time { return now }, phi.ServerConfig{})
-	p, err := ingest.New(ingest.Config{Sink: server})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var offered uint64
-	for i := 0; time.Since(start) < time.Second; i++ {
-		j := i % len(msgs)
-		p.Datagram("bench", msgs[j])
-		offered += uint64(counts[j])
-		if ahead := float64(offered)/target - time.Since(start).Seconds(); ahead > 0 {
-			time.Sleep(time.Duration(ahead * float64(time.Second)))
-		}
-	}
-	wall := time.Since(start)
-	p.Stop()
-	s := p.Snapshot()
-	tracked := s.Records - s.DroppedTrack
-	over := ingestOverloadArm{
-		TargetRecordsPerSec:  target,
-		OfferedRecords:       offered,
-		OfferedRecordsPerSec: float64(offered) / wall.Seconds(),
-		DecodedRecords:       s.Records,
-		TrackedRecords:       tracked,
-		DroppedDatagrams:     s.DroppedDecode,
-		DroppedRecords:       s.DroppedTrack,
-		ShedFraction:         1 - float64(tracked)/float64(offered),
-		Reports:              s.Reports,
-	}
-	logger.Info("overload arm done",
-		"offered_per_sec", fmt.Sprintf("%.0f", over.OfferedRecordsPerSec),
-		"shed_fraction", fmt.Sprintf("%.3f", over.ShedFraction),
-		"dropped_datagrams", over.DroppedDatagrams)
-
-	return &ingestBenchResult{
-		Tool:           "phi-load",
-		Benchmark:      "ingest",
-		GoVersion:      runtime.Version(),
-		Config:         cfg,
-		CorpusMessages: len(msgs),
-		CorpusRecords:  corpusRecords,
-		Sync:           sync,
-		Overload:       over,
 	}, nil
 }

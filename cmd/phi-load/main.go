@@ -31,11 +31,9 @@
 // the target's -metrics-addr, whose /debug/ index is read once at
 // start-up (debug.go).
 //
-// Two further modes exercise the passive-ingest path instead of the
+// One further mode exercises the passive-ingest path instead of the
 // wire protocol (see ipfix.go): -mode ipfix floods a server's
-// -ipfix-addr collector with synthetic TCP-template IPFIX over UDP, and
-// -mode ipfixbench benchmarks the ingest pipeline in-process, writing
-// BENCH_ingest.json.
+// -ipfix-addr collector with synthetic TCP-template IPFIX over UDP.
 //
 // Path keys are drawn uniformly or Zipf-skewed from -paths distinct
 // keys, modelling a few hot inter-datacenter paths among many cold
@@ -45,7 +43,7 @@
 //
 //	phi-cluster -listen 127.0.0.1:7731 -shards 4 -metrics-addr 127.0.0.1:7732 &
 //	phi-load -addr 127.0.0.1:7731 -mode open -rate 2000 -duration 30s \
-//	    -warmup 2s -paths 64 -skew zipf -out BENCH_loadgen.json
+//	    -warmup 2s -paths 64 -skew zipf -out /tmp/phi_load.json
 //
 // The JSON result includes per-op latency quantiles (p50/p90/p99/p999),
 // throughput, and error/degrade counts; the warmup window is excluded.
@@ -64,6 +62,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/phi"
 	"repro/internal/phiwire"
@@ -86,7 +85,7 @@ func main() {
 		ic  ipfixConfig
 	)
 	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:7731", "context server address")
-	flag.StringVar(&cfg.Mode, "mode", "closed", "load model: closed (worker pool) or open (Poisson arrivals)")
+	flag.StringVar(&cfg.Mode, "mode", "closed", "load model: closed (worker pool), open (Poisson arrivals), saturate (ramp to the p99 knee) or ipfix (UDP export flood)")
 	flag.IntVar(&cfg.Workers, "workers", 32, "closed-loop worker count (one connection each)")
 	flag.Float64Var(&cfg.RatePerSec, "rate", 1000, "open-loop arrival rate, lifecycles/s")
 	flag.IntVar(&cfg.Conns, "conns", 64, "open-loop connection pool size")
@@ -127,11 +126,10 @@ func main() {
 	profileDur := flag.Duration("profile-dur", 5*time.Second, "saturate mode: CPU profile length, captured through -debug-url while holding knee-rate load (0 = no knee profiles)")
 	flag.StringVar(&sp.ProfilePrefix, "profile-prefix", "", "saturate mode: path prefix for the knee profile files (default: the -out path minus .json)")
 	flag.StringVar(&ic.Addr, "ipfix-addr", "127.0.0.1:4739", "ipfix mode: collector UDP address to flood")
-	flag.IntVar(&ic.Flows, "ipfix-flows", 256, "ipfix modes: concurrent synthetic TCP flows")
-	flag.IntVar(&ic.Paths, "ipfix-paths", 16, "ipfix modes: distinct destination /24 paths")
-	flag.Float64Var(&ic.LossRate, "ipfix-loss", 0.01, "ipfix modes: planted retransmit probability")
+	flag.IntVar(&ic.Flows, "ipfix-flows", 256, "ipfix mode: concurrent synthetic TCP flows")
+	flag.IntVar(&ic.Paths, "ipfix-paths", 16, "ipfix mode: distinct destination /24 paths")
+	flag.Float64Var(&ic.LossRate, "ipfix-loss", 0.01, "ipfix mode: planted retransmit probability")
 	flag.Float64Var(&ic.RatePerSec, "ipfix-rate", 0, "ipfix mode: records/s pacing (0 = unpaced)")
-	flag.IntVar(&ic.Reps, "bench-reps", 5, "ipfixbench mode: best-of repetitions")
 	flag.Parse()
 
 	lvl, err := tlog.ParseLevel(*logLevel)
@@ -145,11 +143,11 @@ func main() {
 	}
 	logger := tlog.New(os.Stderr, lvl, lopts...).Component("phi-load")
 
-	// The IPFIX modes share none of the wire-protocol plumbing below
+	// The IPFIX mode shares none of the wire-protocol plumbing below
 	// (no connections, no probe): dispatch before touching runConfig.
-	if cfg.Mode == "ipfix" || cfg.Mode == "ipfixbench" {
+	if cfg.Mode == "ipfix" {
 		ic.DurationS, ic.Seed = duration.Seconds(), cfg.Seed
-		runIPFIXMode(cfg.Mode, ic, *out, logger)
+		runIPFIXMode(ic, *out, logger)
 		return
 	}
 
@@ -364,7 +362,7 @@ func (c runConfig) validate() []error {
 			fail("-max-inflight must be >= 1 (got %d)", c.MaxInflight)
 		}
 	default:
-		fail("-mode must be closed, open, saturate, ipfix, or ipfixbench (got %q)", c.Mode)
+		fail("-mode must be closed, open, saturate, or ipfix (got %q)", c.Mode)
 	}
 	if c.DurationS <= 0 {
 		fail("-duration must be > 0 (got %vs)", c.DurationS)
@@ -527,7 +525,7 @@ func (o *opStats) result() opResult {
 	return r
 }
 
-// result is the machine-readable run summary (BENCH_loadgen.json).
+// result is the machine-readable run summary of the closed and open modes.
 type result struct {
 	Tool             string    `json:"tool"`
 	Config           runConfig `json:"config"`
@@ -688,22 +686,6 @@ type faultResult struct {
 	SuppressedLifecycles uint64  `json:"suppressed_lifecycles"`
 }
 
-// healthAnomaly mirrors the anomaly fields of the server's
-// /debug/health JSON that the watcher needs.
-type healthAnomaly struct {
-	ID           uint64    `json:"id"`
-	Scope        string    `json:"scope"`
-	StartedAt    time.Time `json:"started_at"`
-	Localization string    `json:"localization"`
-}
-
-// healthSnapshot is the subset of the /debug/health document we decode.
-type healthSnapshot struct {
-	Status string          `json:"status"`
-	Active []healthAnomaly `json:"active_anomalies"`
-	Recent []healthAnomaly `json:"recent_anomalies"`
-}
-
 // healthResult is the end-of-run detection summary: did the server's
 // monitor notice the fault we injected, how long did it take, and
 // where did it localize it.
@@ -729,7 +711,7 @@ type healthWatcher struct {
 	mu       sync.Mutex
 	res      healthResult
 	seen     map[uint64]struct{}
-	detected *healthAnomaly
+	detected *health.Anomaly
 	firstObs time.Time // wall clock of the poll that first showed the match
 }
 
@@ -756,7 +738,7 @@ func (w *healthWatcher) start(stop <-chan struct{}, wg *sync.WaitGroup) {
 }
 
 func (w *healthWatcher) poll() {
-	var snap healthSnapshot
+	var snap health.Snapshot // the daemon's own type: a renamed field breaks the build, not the scrape
 	raw, err := fetchJSON(w.url)
 	if err == nil {
 		err = json.Unmarshal(raw, &snap)

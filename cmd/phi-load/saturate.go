@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/quality"
 	"repro/internal/trace"
 	tlog "repro/internal/trace/log"
 )
@@ -184,29 +185,18 @@ type satResult struct {
 	Profiles *profileCapture `json:"profiles,omitempty"`
 }
 
-// contextProbe is the slice of the server's /debug/context JSON the ramp
-// consumes: cumulative coverage counters (differenced across a step to
-// attribute the step's lookups) and the overall paired-RTT p90 error.
-type contextProbe struct {
-	Coverage struct {
-		Fresh    uint64 `json:"fresh"`
-		Stale    uint64 `json:"stale"`
-		Fallback uint64 `json:"fallback"`
-	} `json:"coverage"`
-	Accuracy map[string]struct {
-		RTTAbsErrP90Us float64 `json:"rtt_abs_err_p90_us"`
-	} `json:"accuracy"`
-}
-
-// probeContext fetches and parses url; best effort — a nil return means
-// the step simply carries no context attribution.
-func probeContext(url string, logger *tlog.Logger) *contextProbe {
+// probeContext fetches the server's /debug/context document, of which the
+// ramp consumes the cumulative coverage counters (differenced across a
+// step to attribute the step's lookups) and the overall paired-RTT p90
+// error; best effort — a nil return means the step simply carries no
+// context attribution.
+func probeContext(url string, logger *tlog.Logger) *quality.Snapshot {
 	raw, err := fetchJSON(url)
 	if err != nil {
 		logger.Warn("context probe", "url", url, "err", err)
 		return nil
 	}
-	var p contextProbe
+	var p quality.Snapshot
 	if err := json.Unmarshal(raw, &p); err != nil {
 		logger.Warn("context probe decode", "url", url, "err", err)
 		return nil
@@ -257,7 +247,7 @@ func runSaturate(cfg runConfig, sp satParams, prefix, out string, tracer *trace.
 		t0 := time.Now()
 		allocObj0, allocBytes0 := obs.AllocCounts()
 		w0 := wire.Snapshot()
-		var ctx0 *contextProbe
+		var ctx0 *quality.Snapshot
 		if sp.ContextURL != "" {
 			ctx0 = probeContext(sp.ContextURL, logger)
 		}

@@ -9,18 +9,15 @@
 //	phi-sim -senders 8 -cc remy-phi -duration 120s
 //	phi-sim -senders 20 -longrunning -cc cubic -beta 0.8
 //	phi-sim -longrunning -probe-interval 100ms -probe-csv probe.csv
-//	phi-sim -bench-out BENCH_sim.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	mrand "math/rand"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/phi"
@@ -53,15 +50,10 @@ func main() {
 		probeEvery = flag.Duration("probe-interval", 0, "sample the bottleneck (and long-running flows) on this virtual-time cadence")
 		probeCSV   = flag.String("probe-csv", "", "write the probe time series as CSV to this file (requires -probe-interval)")
 		probeJSON  = flag.String("probe-json", "", "write the probe time series as JSON to this file (requires -probe-interval)")
-		benchOut   = flag.String("bench-out", "", "benchmark the scenario probe-off vs probe-on, write events/sec JSON to this path, and exit")
-		benchReps  = flag.Int("bench-reps", 3, "benchmark repetitions per arm (best rep is reported)")
 	)
 	flag.Parse()
 	if (*probeCSV != "" || *probeJSON != "") && *probeEvery <= 0 {
 		log.Fatal("-probe-csv/-probe-json need -probe-interval > 0")
-	}
-	if *benchOut != "" && *tracePath != "" {
-		log.Fatal("-bench-out and -trace are mutually exclusive")
 	}
 
 	db := sim.DumbbellConfig{
@@ -174,10 +166,6 @@ func main() {
 		}
 	}
 
-	if *benchOut != "" {
-		runBench(sc, *benchOut, *benchReps, *probeEvery)
-		return
-	}
 	sc.ProbeInterval = sim.Time(probeEvery.Nanoseconds())
 
 	res := workload.Run(sc)
@@ -222,91 +210,4 @@ func main() {
 		write(*probeCSV, dump.WriteCSV)
 		write(*probeJSON, dump.WriteJSON)
 	}
-}
-
-// benchArm is one side of the probe-overhead benchmark: the best (fastest)
-// repetition of the scenario with the probe detached or attached.
-type benchArm struct {
-	Events       uint64  `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// runBench executes the configured scenario with and without a probe
-// attached and writes an events/sec comparison as JSON — the artifact
-// `make bench-sim` publishes as BENCH_sim.json. Simulation results are
-// identical either way (the probe is passive); the interesting number is
-// the wall-clock overhead of carrying it.
-func runBench(sc workload.Scenario, path string, reps int, probeEvery time.Duration) {
-	if reps <= 0 {
-		reps = 1
-	}
-	interval := sim.Time(probeEvery.Nanoseconds())
-	if interval <= 0 {
-		interval = 100 * sim.Millisecond
-	}
-	runOnce := func(probe sim.Time) benchArm {
-		s := sc
-		s.ProbeInterval = probe
-		var eng *sim.Engine
-		prev := s.OnTopology
-		s.OnTopology = func(e *sim.Engine, d *sim.Dumbbell) {
-			eng = e
-			if prev != nil {
-				prev(e, d)
-			}
-		}
-		begin := time.Now()
-		workload.Run(s)
-		wall := time.Since(begin).Seconds()
-		return benchArm{Events: eng.Executed, WallSeconds: wall,
-			EventsPerSec: float64(eng.Executed) / wall}
-	}
-	// One unmeasured warmup, then interleave the arms rep by rep so slow
-	// background drift (frequency scaling, a neighbor on the core) hits
-	// both sides equally instead of biasing whichever block ran second.
-	// Best-of-reps per arm damps the remaining one-sided noise.
-	runOnce(0)
-	var detached, attached benchArm
-	for r := 0; r < reps; r++ {
-		if d := runOnce(0); r == 0 || d.WallSeconds < detached.WallSeconds {
-			detached = d
-		}
-		if a := runOnce(interval); r == 0 || a.WallSeconds < attached.WallSeconds {
-			attached = a
-		}
-	}
-	overhead := attached.WallSeconds/detached.WallSeconds - 1
-
-	out := struct {
-		Benchmark       string   `json:"benchmark"`
-		GoVersion       string   `json:"go_version"`
-		Reps            int      `json:"reps"`
-		ProbeIntervalNs int64    `json:"probe_interval_ns"`
-		SimSeconds      float64  `json:"sim_seconds"`
-		Detached        benchArm `json:"detached"`
-		Attached        benchArm `json:"attached"`
-		// OverheadFraction is attached/detached wall time minus one; the
-		// probe-overhead budget is 0.05.
-		OverheadFraction float64 `json:"overhead_fraction"`
-	}{
-		Benchmark:        "phi-sim probe overhead",
-		GoVersion:        runtime.Version(),
-		Reps:             reps,
-		ProbeIntervalNs:  int64(interval),
-		SimSeconds:       sim.Time(sc.Duration).Seconds(),
-		Detached:         detached,
-		Attached:         attached,
-		OverheadFraction: overhead,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		log.Fatalf("bench: %v", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		log.Fatalf("bench: %v", err)
-	}
-	fmt.Printf("bench             detached %.2fM events/s, attached %.2fM events/s, overhead %+.1f%%\n",
-		detached.EventsPerSec/1e6, attached.EventsPerSec/1e6, 100*overhead)
-	fmt.Printf("bench export      %s\n", path)
 }

@@ -35,24 +35,18 @@ type Shard struct {
 	ID int
 
 	clock func() sim.Time
-	cfg   phi.ServerConfig
+	// srv is the shard's one phi.Server for life. A crash or a restore
+	// resets it in place, so whatever was attached to it (metrics,
+	// tracer, quality) stays attached: nothing can come up unobserved
+	// because nothing is replaced.
+	srv  *phi.Server
+	down atomic.Bool
 
-	mu   sync.Mutex
-	srv  *phi.Server // replaced wholesale on crash/restart
-	down bool
-
-	// srvMetrics is re-applied to every replacement phi.Server, so the
-	// registry-level counters survive crash/restore cycles even though
-	// the server instance (and its internal counters) does not.
-	srvMetrics *phi.ServerMetrics
+	// mu serializes Crash, Restart and RestoreSnapshot (and guards
+	// snapMetrics); the data path never takes it.
+	mu sync.Mutex
 	// snapMetrics times the snapshot cycle (shared across shards).
 	snapMetrics *SnapshotMetrics
-	// tracer is likewise re-applied across crash/restore replacements.
-	tracer *trace.Tracer
-	// quality is likewise re-applied, so context-quality measurement
-	// survives crash/restore cycles (the tracker is process-wide and
-	// outlives any single server instance).
-	quality *quality.Tracker
 
 	// lastSnap is the wall-clock time (unix nanos) of the last successful
 	// SaveSnapshot, 0 if none yet. An atomic so health endpoints can read
@@ -62,14 +56,12 @@ type Shard struct {
 
 // NewShard creates shard id with its own backing phi.Server.
 func NewShard(id int, clock func() sim.Time, cfg phi.ServerConfig) *Shard {
-	return &Shard{ID: id, clock: clock, cfg: cfg, srv: phi.NewServer(clock, cfg)}
+	return &Shard{ID: id, clock: clock, srv: phi.NewServer(clock, cfg)}
 }
 
-// server returns the live backend, or nil if the shard is down.
+// server returns the backend, or nil if the shard is down.
 func (s *Shard) server() *phi.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.down {
+	if s.down.Load() {
 		return nil
 	}
 	return s.srv
@@ -77,38 +69,22 @@ func (s *Shard) server() *phi.Server {
 
 // Lookup implements Conn.
 func (s *Shard) Lookup(path phi.PathKey) (phi.Context, error) {
-	srv := s.server()
-	if srv == nil {
-		return phi.Context{}, ErrShardDown
-	}
-	return srv.Lookup(path)
+	return s.LookupSpan(trace.SpanContext{}, path)
 }
 
 // ReportStart implements Conn.
 func (s *Shard) ReportStart(path phi.PathKey) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportStart(path)
+	return s.ReportStartSpan(trace.SpanContext{}, path)
 }
 
 // ReportEnd implements Conn.
 func (s *Shard) ReportEnd(path phi.PathKey, r phi.Report) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportEnd(path, r)
+	return s.ReportEndSpan(trace.SpanContext{}, path, r)
 }
 
 // ReportProgress implements Conn.
 func (s *Shard) ReportProgress(path phi.PathKey, r phi.Report) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportProgress(path, r)
+	return s.ReportProgressSpan(trace.SpanContext{}, path, r)
 }
 
 // RegisterPath forwards to the backing server (no-op while down).
@@ -119,14 +95,8 @@ func (s *Shard) RegisterPath(path phi.PathKey, capacityBps int64) {
 }
 
 // SetServerMetrics attaches the context-server metric set to the
-// backing server, now and across every future crash/restore replacement.
-// Call before the shard starts serving.
-func (s *Shard) SetServerMetrics(m *phi.ServerMetrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.srvMetrics = m
-	s.srv.SetMetrics(m)
-}
+// backing server. Call before the shard starts serving.
+func (s *Shard) SetServerMetrics(m *phi.ServerMetrics) { s.srv.SetMetrics(m) }
 
 // SetSnapshotMetrics attaches snapshot-cycle telemetry. Call before the
 // snapshotter starts.
@@ -136,25 +106,14 @@ func (s *Shard) SetSnapshotMetrics(m *SnapshotMetrics) {
 	s.snapMetrics = m
 }
 
-// SetTracer attaches the span tracer to the backing server, now and
-// across every future crash/restore replacement. Call before the shard
-// starts serving.
-func (s *Shard) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
-	s.srv.SetTracer(t)
-}
+// SetTracer attaches the span tracer to the backing server. Call before
+// the shard starts serving.
+func (s *Shard) SetTracer(t *trace.Tracer) { s.srv.SetTracer(t) }
 
 // SetQuality attaches (or detaches, with nil) the context-quality
-// tracker to the backing server, now and across every future
-// crash/restore replacement. Call before the shard starts serving.
-func (s *Shard) SetQuality(q *quality.Tracker) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.quality = q
-	s.srv.SetQuality(q)
-}
+// tracker to the backing server. Safe while serving: a fleet promotion
+// moves the tracker between replicas under load.
+func (s *Shard) SetQuality(q *quality.Tracker) { s.srv.SetQuality(q) }
 
 // Freshness enumerates the shard's per-path evidence ages for the
 // quality tracker's stalest-paths list (nil while down).
@@ -166,7 +125,7 @@ func (s *Shard) Freshness() []quality.PathFreshness {
 	return srv.Freshness()
 }
 
-// LookupSpan implements TracedConn.
+// LookupSpan implements TracedConn; the zero context is the untraced call.
 func (s *Shard) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
 	srv := s.server()
 	if srv == nil {
@@ -208,25 +167,24 @@ func (s *Shard) ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi
 func (s *Shard) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.down = true
-	s.srv = phi.NewServer(s.clock, s.cfg)
-	s.srv.SetMetrics(s.srvMetrics)
-	s.srv.SetTracer(s.tracer)
-	s.srv.SetQuality(s.quality)
+	s.down.Store(true)
+	s.srv.Reset()
 }
 
 // Down reports whether the shard is crashed.
-func (s *Shard) Down() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.down
-}
+func (s *Shard) Down() bool { return s.down.Load() }
 
-// Restart brings a crashed shard back with empty state.
+// Restart brings a crashed shard back with empty state (a no-op on a
+// shard that is up).
 func (s *Shard) Restart() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.down = false
+	if !s.down.Load() {
+		return
+	}
+	// Again: a call that raced Crash may have written after its Reset.
+	s.srv.Reset()
+	s.down.Store(false)
 }
 
 // Export snapshots the shard's path state (see phi.Server.ExportState).

@@ -55,12 +55,9 @@ func (s *Shard) RestoreSnapshot(snap *Snapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.srv = phi.NewServer(s.clock, s.cfg)
-	s.srv.SetMetrics(s.srvMetrics)
-	s.srv.SetTracer(s.tracer)
-	s.srv.SetQuality(s.quality)
+	s.srv.Reset()
 	s.srv.ImportState(snap.Paths)
-	s.down = false
+	s.down.Store(false)
 	return nil
 }
 

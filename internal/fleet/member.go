@@ -161,28 +161,15 @@ func (m *Member) SetQuality(q *quality.Tracker) {
 	m.backup.SetQuality(nil)
 }
 
-// Lookup implements cluster.Conn: the primary answers; if it is down and
-// the backup is live, the backup answers instead — a crashed primary
-// costs zero failed lookups, not a failover round trip at the frontend.
+// Lookup implements cluster.Conn.
 func (m *Member) Lookup(path phi.PathKey) (phi.Context, error) {
-	p, b, live := m.replicas()
-	ctx, err := p.Lookup(path)
-	if err == nil {
-		return ctx, nil
-	}
-	if errors.Is(err, cluster.ErrShardDown) && live {
-		if bctx, berr := b.Lookup(path); berr == nil {
-			m.backupServed.Add(1)
-			if mt := m.metrics; mt != nil {
-				mt.BackupServed.Inc()
-			}
-			return bctx, nil
-		}
-	}
-	return ctx, err
+	return m.LookupSpan(trace.SpanContext{}, path)
 }
 
-// LookupSpan implements cluster.TracedConn with the same failover.
+// LookupSpan implements cluster.TracedConn (the zero context is the
+// untraced call): the primary answers; if it is down and the backup is
+// live, the backup answers instead — a crashed primary costs zero failed
+// lookups, not a failover round trip at the frontend.
 func (m *Member) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
 	p, b, live := m.replicas()
 	ctx, err := p.LookupSpan(sc, path)
@@ -201,20 +188,9 @@ func (m *Member) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context
 	return ctx, err
 }
 
-// applyReport dispatches one report operation to a shard.
-func applyReport(s *cluster.Shard, kind reportKind, path phi.PathKey, rep phi.Report) error {
-	switch kind {
-	case reportStart:
-		return s.ReportStart(path)
-	case reportEnd:
-		return s.ReportEnd(path, rep)
-	default:
-		return s.ReportProgress(path, rep)
-	}
-}
-
-// applyReportSpan is applyReport through the traced facet.
-func applyReportSpan(s *cluster.Shard, sc trace.SpanContext, kind reportKind, path phi.PathKey, rep phi.Report) error {
+// applyReport dispatches one report operation to a shard under sc (the
+// zero context for an untraced report or a catch-up replay).
+func applyReport(s *cluster.Shard, sc trace.SpanContext, kind reportKind, path phi.PathKey, rep phi.Report) error {
 	switch kind {
 	case reportStart:
 		return s.ReportStartSpan(sc, path)
@@ -234,12 +210,7 @@ func (m *Member) deliver(sc trace.SpanContext, kind reportKind, path phi.PathKey
 	defer m.mu.Unlock()
 	m.seq++
 
-	apply := func(s *cluster.Shard) error {
-		if sc.Valid() {
-			return applyReportSpan(s, sc, kind, path, rep)
-		}
-		return applyReport(s, kind, path, rep)
-	}
+	apply := func(s *cluster.Shard) error { return applyReport(s, sc, kind, path, rep) }
 
 	if err := apply(m.primary); err != nil {
 		if !errors.Is(err, cluster.ErrShardDown) {
@@ -395,7 +366,7 @@ func (m *Member) SyncBackup() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, r := range m.pending {
-		if err := applyReport(backup, r.kind, r.path, r.rep); err != nil {
+		if err := applyReport(backup, trace.SpanContext{}, r.kind, r.path, r.rep); err != nil {
 			// The backup died mid-replay; leave it not-live for the
 			// controller's next pass.
 			return fmt.Errorf("fleet: replay into backup %d: %w", m.Index, err)

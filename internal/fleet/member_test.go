@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/phi"
+	"repro/internal/quality"
 	"repro/internal/sim"
 )
 
@@ -231,5 +232,49 @@ func TestRestartPrimaryFromSnapshot(t *testing.T) {
 	}
 	if err := EquivalentStates(m.Primary().Export(), m.Backup().Export(), true); err != nil {
 		t.Fatalf("backup diverged after restart: %v", err)
+	}
+}
+
+// Promotion moves the quality tracker from the demoted replica to the
+// promoted one while lookups are in flight on both: the hand-over must
+// not race the hot path's read of the hook (it bites under -race only).
+func TestPromoteUnderLookupsDoesNotRaceQualityHook(t *testing.T) {
+	m, now := newTestMember()
+	q := quality.New(quality.Config{})
+	m.SetQuality(q)
+	feedMember(t, m, "path-a", now, 3)
+
+	// The lookups set the length of the test, so the promotions are sure
+	// to overlap them however the goroutines are scheduled.
+	const lookups = 5000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < lookups; i++ {
+			if _, err := m.Lookup("path-a"); err != nil {
+				t.Errorf("Lookup: %v", err)
+				return
+			}
+		}
+	}()
+	for promoting := true; promoting; {
+		select {
+		case <-done:
+			promoting = false
+		default:
+		}
+		if err := m.Promote(); err != nil {
+			t.Fatalf("Promote: %v", err)
+		}
+		if err := m.SyncBackup(); err != nil {
+			t.Fatalf("SyncBackup: %v", err)
+		}
+	}
+	<-done
+	// The tracker followed the serving role. (Not every lookup is
+	// classified: one that picked its replica just before a promotion
+	// lands on the demoted one, whose hook is already detached.)
+	if fresh, stale, fallback := q.CoverageCounts(); fresh+stale+fallback < lookups/2 {
+		t.Fatalf("%d of %d lookups classified", fresh+stale+fallback, lookups)
 	}
 }

@@ -25,8 +25,11 @@ func benchMessages(b *testing.B, millis int) [][]byte {
 }
 
 // BenchmarkPipelineIngest drives pre-encoded IPFIX through the full
-// synchronous pipeline into a real phi.Server and reports records/sec —
-// the number `make bench-ingest` pins in BENCH_ingest.json.
+// synchronous pipeline into a real phi.Server and reports records/s and
+// ns/record: the home of the single-core decode+track+report capacity
+// (`go test -bench PipelineIngest ./internal/ingest`; ~5.1M records/s
+// when last recorded). The shed behaviour past that rate is
+// TestPipelineOverloadShedsAndCounts.
 func BenchmarkPipelineIngest(b *testing.B) {
 	msgs := benchMessages(b, 2000)
 	var records int

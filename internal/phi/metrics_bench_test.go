@@ -1,28 +1,24 @@
 package phi
 
-// Benchmarks isolating the telemetry overhead on the context server's
-// hot path: the same lookup/report cycle with and without a metric set
-// attached. The delta is dominated by the two monotonic clock reads;
-// the histogram record itself is ~20ns (see internal/telemetry).
+// Benchmarks of the context server's bare hot path. What the observers
+// (metrics, tracer, quality) add on top is one number per layer in the
+// repository benchmark — BENCHMARK.json's observers.* metrics, the gap
+// between its wire-hot-observed and wire-hot workloads — not a twin of
+// each benchmark here.
 
 import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-func benchServer(instrument bool) *Server {
+func benchServer() *Server {
 	var now sim.Time
-	s := NewServer(func() sim.Time { now += sim.Millisecond; return now }, ServerConfig{})
-	if instrument {
-		s.SetMetrics(NewServerMetrics(telemetry.NewRegistry(), nil))
-	}
-	return s
+	return NewServer(func() sim.Time { now += sim.Millisecond; return now }, ServerConfig{})
 }
 
-func benchLookup(b *testing.B, instrument bool) {
-	s := benchServer(instrument)
+func BenchmarkServerLookup(b *testing.B) {
+	s := benchServer()
 	s.RegisterPath("p", 1e9)
 	if err := s.ReportStart("p"); err != nil {
 		b.Fatal(err)
@@ -36,11 +32,8 @@ func benchLookup(b *testing.B, instrument bool) {
 	}
 }
 
-func BenchmarkServerLookup(b *testing.B)             { benchLookup(b, false) }
-func BenchmarkServerLookupInstrumented(b *testing.B) { benchLookup(b, true) }
-
-func benchReportCycle(b *testing.B, instrument bool) {
-	s := benchServer(instrument)
+func BenchmarkServerReportCycle(b *testing.B) {
+	s := benchServer()
 	s.RegisterPath("p", 1e9)
 	r := Report{Bytes: 1 << 16, Duration: 100 * sim.Millisecond, AvgRTT: 40 * sim.Millisecond, MinRTT: 30 * sim.Millisecond}
 	b.ReportAllocs()
@@ -54,6 +47,3 @@ func benchReportCycle(b *testing.B, instrument bool) {
 		}
 	}
 }
-
-func BenchmarkServerReportCycle(b *testing.B)             { benchReportCycle(b, false) }
-func BenchmarkServerReportCycleInstrumented(b *testing.B) { benchReportCycle(b, true) }

@@ -214,51 +214,3 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
-
-// Quality-hook overhead benchmarks: the disabled case is the acceptance
-// bar (one nil check over the plain server); the attached case pays the
-// tracker's atomics and pairing table.
-func benchQualityLookup(b *testing.B, attach bool) {
-	var now sim.Time
-	s := NewServer(func() sim.Time { now += sim.Millisecond; return now }, ServerConfig{})
-	if attach {
-		s.SetQuality(quality.New(quality.Config{}))
-	}
-	s.RegisterPath("p", 1e9)
-	if err := s.ReportStart("p"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Lookup("p"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkServerLookupQualityDisabled(b *testing.B) { benchQualityLookup(b, false) }
-func BenchmarkServerLookupQualityAttached(b *testing.B) { benchQualityLookup(b, true) }
-
-func benchQualityReportCycle(b *testing.B, attach bool) {
-	var now sim.Time
-	s := NewServer(func() sim.Time { now += sim.Millisecond; return now }, ServerConfig{})
-	if attach {
-		s.SetQuality(quality.New(quality.Config{}))
-	}
-	s.RegisterPath("p", 1e9)
-	r := Report{Bytes: 1 << 16, Duration: 100 * sim.Millisecond, AvgRTT: 40 * sim.Millisecond, MinRTT: 30 * sim.Millisecond}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.ReportStart("p"); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.ReportEnd("p", r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkServerReportCycleQualityDisabled(b *testing.B) { benchQualityReportCycle(b, false) }
-func BenchmarkServerReportCycleQualityAttached(b *testing.B) { benchQualityReportCycle(b, true) }

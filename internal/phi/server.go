@@ -95,9 +95,10 @@ type Server struct {
 
 	// quality feeds the context-quality observatory (nil = unmeasured;
 	// same one-branch discipline — the tracker's methods are nil-safe
-	// too, so this hook costs nothing when quality is off). Set before
-	// serving.
-	quality *quality.Tracker
+	// too, so this hook costs nothing when quality is off). Atomic because
+	// a fleet promotion moves the tracker between replicas while both
+	// are taking calls.
+	quality atomic.Pointer[quality.Tracker]
 
 	// evicted counts idle paths removed by the MaxPaths bound. Atomic so
 	// tests and Stats readers never take s.mu.
@@ -105,9 +106,9 @@ type Server struct {
 }
 
 // SetQuality attaches (or detaches, with nil) the context-quality
-// tracker. Call before serving. The tracker is typically shared by
+// tracker; safe while serving. The tracker is typically shared by
 // every server in the process, so quality aggregates across shards.
-func (s *Server) SetQuality(q *quality.Tracker) { s.quality = q }
+func (s *Server) SetQuality(q *quality.Tracker) { s.quality.Store(q) }
 
 type timedReport struct {
 	at    sim.Time
@@ -200,7 +201,7 @@ func (s *Server) evictIdleLocked() {
 	if excess > len(cands) {
 		excess = len(cands)
 	}
-	q := s.quality
+	q := s.quality.Load()
 	for _, c := range cands[:excess] {
 		delete(s.paths, c.key)
 		q.ForgetPath(string(c.key))
@@ -223,7 +224,7 @@ func (s *Server) Lookup(path PathKey) (Context, error) {
 	if m != nil {
 		start = time.Now()
 	}
-	q := s.quality
+	q := s.quality.Load()
 	s.mu.Lock()
 	s.lookups.Add(1)
 	now := s.clock()
@@ -348,7 +349,7 @@ func (s *Server) report(path PathKey, r Report, end bool) error {
 		s.passiveReports.Add(1)
 		weight = s.cfg.PassiveWeight
 	}
-	qt := s.quality
+	qt := s.quality.Load()
 	s.mu.Lock()
 	s.reports.Add(1)
 	now := s.clock()
@@ -463,6 +464,18 @@ func (s *Server) ActiveSenders(path PathKey) int {
 // call while the server is serving.
 func (s *Server) Stats() (lookups, reports uint64) {
 	return s.lookups.Load(), s.reports.Load()
+}
+
+// Reset returns the server to its just-constructed state — no paths, all
+// counters zero — keeping its configuration and everything attached to
+// it (metrics, tracer, quality). A shard that crashes or restores resets
+// its server in place rather than replacing it.
+func (s *Server) Reset() {
+	s.ImportState(nil)
+	s.lookups.Store(0)
+	s.reports.Store(0)
+	s.passiveReports.Store(0)
+	s.evicted.Store(0)
 }
 
 // PassiveReports returns how many reports were tagged SourcePassive

@@ -1,9 +1,7 @@
 package phiwire
 
 // Microbenchmarks for the wire codec hot path (every request crosses
-// encode/decode twice) and for a full in-process handle() round trip,
-// instrumented vs not — backing the claim that telemetry adds well under
-// 100ns per operation.
+// encode/decode twice) and for a full in-process handle() round trip.
 
 import (
 	"testing"
@@ -11,7 +9,6 @@ import (
 
 	"repro/internal/phi"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 var benchReport = phi.Report{
@@ -64,17 +61,11 @@ func BenchmarkEncodeDecodeContext(b *testing.B) {
 	}
 }
 
-// benchHandle measures the server's whole in-process request path
-// (decode + backend + encode), with or without telemetry attached. The
-// difference between the two is the true instrumentation overhead.
-func benchHandle(b *testing.B, instrument bool) {
+// BenchmarkServerHandleLookup measures the server's whole in-process
+// request path (decode + backend + encode), uninstrumented.
+func BenchmarkServerHandleLookup(b *testing.B) {
 	backend := phi.NewServer(func() sim.Time { return sim.Time(time.Now().UnixNano()) }, phi.ServerConfig{})
 	srv := NewServer(backend, nil)
-	if instrument {
-		reg := telemetry.NewRegistry()
-		srv.SetMetrics(NewServerMetrics(reg))
-		backend.SetMetrics(phi.NewServerMetrics(reg, nil))
-	}
 	req, err := encodeLookup("bench-path")
 	if err != nil {
 		b.Fatal(err)
@@ -88,6 +79,3 @@ func benchHandle(b *testing.B, instrument bool) {
 		}
 	}
 }
-
-func BenchmarkServerHandleLookup(b *testing.B)             { benchHandle(b, false) }
-func BenchmarkServerHandleLookupInstrumented(b *testing.B) { benchHandle(b, true) }

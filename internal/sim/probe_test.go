@@ -203,8 +203,8 @@ func TestReadDumpCSVRejectsGarbage(t *testing.T) {
 // BenchmarkProbeOverhead pins the cost of an attached probe against the
 // identical unprobed simulation. The probe adds one event per interval —
 // a fixed, workload-independent cost — so probed throughput must stay
-// within 5% of unprobed (measured end-to-end by `make bench-sim` into
-// BENCH_sim.json; zero behavioral perturbation is pinned by
+// within 5% of unprobed (`go test -bench ProbeOverhead ./internal/sim`
+// prints both arms; zero behavioral perturbation is pinned by
 // internal/workload's TestScenarioProbePassive).
 func BenchmarkProbeOverhead(b *testing.B) {
 	for _, probed := range []bool{false, true} {

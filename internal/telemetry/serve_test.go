@@ -109,9 +109,9 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestServeNilRegistry(t *testing.T) {
-	// The dedicated -health-addr server mounts only its extra endpoint;
-	// the registry endpoints must still answer (empty) rather than
-	// panic on the nil receiver.
+	// A server without a registry (phi-load's -debug-addr) mounts only its
+	// extra endpoints; the registry endpoints must still answer (empty)
+	// rather than panic on the nil receiver.
 	ms, err := Serve("127.0.0.1:0", nil,
 		Endpoint{Path: "/debug/health", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			io.WriteString(w, `{"status":"ok"}`)

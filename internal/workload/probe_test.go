@@ -59,8 +59,7 @@ func TestScenarioProbeDeterministic(t *testing.T) {
 // the simulation: the measured results of a probed run are identical to
 // the unprobed run — the probe only reads monitor counters and adds its
 // own events, which never touch packets. (The <5% wall-clock overhead
-// claim is pinned separately by sim.BenchmarkProbeOverhead and
-// `make bench-sim`.)
+// claim is measured separately by sim.BenchmarkProbeOverhead.)
 func TestScenarioProbePassive(t *testing.T) {
 	probed := Run(probedScenario(100 * sim.Millisecond))
 	probed.Probe = nil
