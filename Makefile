@@ -95,11 +95,12 @@ bench-diff:
 		-require-knee -min-rate 2000
 
 # Zero-alloc regression gate: the pinned allocs/op tests for the
-# phi.Server hot path and the phiwire codec (TestAllocs* in
-# internal/phi and internal/phiwire). Fails the moment a change makes
-# Lookup allocate or grows a codec's per-frame allocation count.
+# phi.Server hot path, the phiwire codec and the frontend's routed call
+# (TestAllocs* in internal/phi, internal/phiwire and internal/cluster).
+# Fails the moment a change makes Lookup allocate, grows a codec's
+# per-frame allocation count, or makes routing allocate per call.
 alloc-gate:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/phi ./internal/phiwire
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/phi ./internal/phiwire ./internal/cluster
 
 # One benchmark iteration per function: catches benchmarks that no
 # longer compile or crash, without paying for real measurement (CI runs

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/health"
 	"repro/internal/phi"
 	"repro/internal/phiwire"
 	"repro/internal/sim"
@@ -337,6 +338,42 @@ func TestHealthEndpointListedOnlyWhenMonitoring(t *testing.T) {
 			t.Errorf("-health=%v: /debug/health listed = %v", healthOn, got)
 		}
 		d.stop()
+	}
+}
+
+// TestHealthShowsSnapshotAges: with -snapshot-dir, /debug/health carries
+// every shard's snapshot age in both deployment shapes. The plain
+// cluster's assembly used to leave the source uninstalled, so the field
+// appeared only with -fleet.
+func TestHealthShowsSnapshotAges(t *testing.T) {
+	for _, mode := range [][]string{{"-shards", "4"}, {"-shards", "4", "-fleet"}} {
+		t.Run(strings.Join(mode, ""), func(t *testing.T) {
+			args := append(mode, "-health", "-metrics-addr", "127.0.0.1:0", "-prof-ring-dir", t.TempDir(),
+				"-snapshot-dir", t.TempDir(), "-snapshot-interval", "10ms")
+			d := startDaemon(t, newTestClock(sim.Second), args...)
+			var snap health.Snapshot
+			aged := 0
+			for deadline := time.Now().Add(5 * time.Second); aged < 4 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+				resp, err := http.Get("http://" + d.addrs.metrics + "/debug/health")
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&snap)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				aged = 0
+				for _, sh := range snap.Shards {
+					if sh.SnapshotAgeS != nil {
+						aged++
+					}
+				}
+			}
+			if aged != 4 {
+				t.Errorf("%d of 4 shards report a snapshot age at /debug/health: %+v", aged, snap.Shards)
+			}
+		})
 	}
 }
 

@@ -93,11 +93,13 @@ func (c *Cluster) Trace(t *trace.Tracer) {
 
 // Health attaches the live health monitor to the frontend, which feeds
 // it accepted operations, per-shard call results, routing decisions,
-// and its breaker view. The monitor attaches at the frontend only —
-// shard-level phi.Servers see the same operations and would double
-// count. Call before the cluster starts serving.
+// and its breaker view, and installs the per-shard snapshot ages. On
+// the data path the monitor attaches at the frontend only — shard-level
+// phi.Servers see the same operations and would double count. Call
+// before the cluster starts serving.
 func (c *Cluster) Health(m *healthmon.Monitor) {
 	c.Frontend.SetHealth(m)
+	m.SetSnapshotAges(c.SnapshotAges)
 }
 
 // Quality attaches one context-quality tracker to the frontend (which
@@ -112,17 +114,6 @@ func (c *Cluster) Quality(q *quality.Tracker) {
 		s.SetQuality(q)
 		q.AddPathSource(s.Freshness)
 	}
-}
-
-// SaveSnapshots writes every shard's snapshot under dir; the first error
-// aborts (remaining shards keep their previous snapshots).
-func (c *Cluster) SaveSnapshots(dir string) error {
-	for _, s := range c.Shards {
-		if err := s.SaveSnapshot(dir); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LoadSnapshots rehydrates every shard that has a snapshot file under

@@ -28,11 +28,13 @@ type TracedConn interface {
 // decisions worth keeping a trace for: the tail-based collector retains
 // every trace that failed over, degraded, or hit an open breaker.
 var (
-	opFrontLookup   = trace.Name("frontend.lookup")
-	opFrontStart    = trace.Name("frontend.report_start")
-	opFrontEnd      = trace.Name("frontend.report_end")
-	opFrontProgress = trace.Name("frontend.report_progress")
-	opShardCall     = trace.Name("shard.call")
+	frontOpNames = [...]trace.Ref{
+		phi.OpLookup:         trace.Name("frontend.lookup"),
+		phi.OpReportStart:    trace.Name("frontend.report_start"),
+		phi.OpReportEnd:      trace.Name("frontend.report_end"),
+		phi.OpReportProgress: trace.Name("frontend.report_progress"),
+	}
+	opShardCall = trace.Name("shard.call")
 
 	noteRetry       = trace.Name("retry")
 	noteFailover    = trace.Name("failover")
@@ -260,16 +262,14 @@ func (f *Frontend) markResult(i int, err error) {
 	}
 }
 
-// skippable reports whether shard i is marked down and still cooling off.
-func (f *Frontend) skippable(i int) bool {
+// ShardDown reports whether the frontend currently routes around shard
+// i: it is marked down and still cooling off.
+func (f *Frontend) ShardDown(i int) bool {
 	h := &f.health[i]
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return !h.downUntil.IsZero() && f.now().Before(h.downUntil)
 }
-
-// ShardDown reports whether the frontend currently routes around shard i.
-func (f *Frontend) ShardDown(i int) bool { return f.skippable(i) }
 
 // Quarantine routes around shard i for d, regardless of its breaker
 // history — the drain half of a remediation: while a controller is
@@ -291,52 +291,29 @@ func (f *Frontend) Quarantine(i int, d time.Duration) {
 // immediately — promotion awareness: after a fleet controller promotes
 // a backup or restarts a shard, the replica behind index i is healthy
 // and traffic should return now, not after the cooldown expires.
-func (f *Frontend) ResetShard(i int) {
-	h := &f.health[i]
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.consecFails = 0
-	h.downUntil = time.Time{}
-	if m := f.metrics; m != nil {
-		m.Down[i].Set(0)
-	}
-}
+func (f *Frontend) ResetShard(i int) { f.markResult(i, nil) }
 
 // call runs op against shard i under the configured timeout, updating
 // the shard's breaker and recording a shard.call span under parent. A
 // shard in cooldown is skipped outright (noted as breaker-open on the
-// span). op receives the shard index and the span context to forward to
-// the shard connection.
-func (f *Frontend) call(i int, parent trace.SpanContext, op func(i int, sc trace.SpanContext) error) error {
+// span). The shard connection is handed the shard.call span's context.
+func (f *Frontend) call(i int, parent trace.SpanContext, op phi.Op) (phi.Context, error) {
 	csp := f.tracer.Start(parent, opShardCall)
 	csp.SetShard(i)
-	if f.skippable(i) {
+	if f.ShardDown(i) {
 		csp.Note(noteBreakerOpen)
 		csp.End(ErrShardDown)
 		f.hmon.RecordRouting(healthmon.RouteBreakerOpen)
-		return ErrShardDown
+		return phi.Context{}, ErrShardDown
 	}
-	sc := csp.Context()
-	if !sc.Valid() {
-		sc = parent // no local tracer: still forward the caller's trace
-	}
+	// No local tracer: still forward the caller's trace.
+	sc := spanOrParent(csp, parent)
 	m := f.metrics
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
-	var err error
-	if f.cfg.Timeout <= 0 {
-		err = op(i, sc)
-	} else {
-		done := make(chan error, 1)
-		go func() { done <- op(i, sc) }()
-		select {
-		case err = <-done:
-		case <-time.After(f.cfg.Timeout):
-			err = ErrShardTimeout
-		}
-	}
+	ctx, err := f.callConn(i, sc, op)
 	f.markResult(i, err)
 	f.hmon.RecordShardCall(i, err != nil)
 	if m != nil {
@@ -346,37 +323,33 @@ func (f *Frontend) call(i int, parent trace.SpanContext, op func(i int, sc trace
 		}
 	}
 	csp.End(err)
-	return err
+	return ctx, err
 }
 
-// connLookup and friends dispatch one shard operation, through the
-// traced facet when the shard supports it and a span context exists.
-func (f *Frontend) connLookup(i int, sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.LookupSpan(sc, path)
+// callConn hands op to shard i's connection. With a Timeout configured
+// (remote shards) op runs on a goroutine of its own and is abandoned —
+// it finishes into the buffered channel — when the timeout passes first.
+// Kept apart from call, and capturing only values, so that nothing
+// escapes to the heap on the synchronous path.
+func (f *Frontend) callConn(i int, sc trace.SpanContext, op phi.Op) (phi.Context, error) {
+	if f.cfg.Timeout <= 0 {
+		return op.Do(sc, f.shards[i], f.tconns[i])
 	}
-	return f.shards[i].Lookup(path)
-}
-
-func (f *Frontend) connReportStart(i int, sc trace.SpanContext, path phi.PathKey) error {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.ReportStartSpan(sc, path)
+	type result struct {
+		ctx phi.Context
+		err error
 	}
-	return f.shards[i].ReportStart(path)
-}
-
-func (f *Frontend) connReportEnd(i int, sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.ReportEndSpan(sc, path, r)
+	done := make(chan result, 1)
+	go func() {
+		ctx, err := op.Do(sc, f.shards[i], f.tconns[i])
+		done <- result{ctx, err}
+	}()
+	select {
+	case r := <-done:
+		return r.ctx, r.err
+	case <-time.After(f.cfg.Timeout):
+		return phi.Context{}, ErrShardTimeout
 	}
-	return f.shards[i].ReportEnd(path, r)
-}
-
-func (f *Frontend) connReportProgress(i int, sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.ReportProgressSpan(sc, path, r)
-	}
-	return f.shards[i].ReportProgress(path, r)
 }
 
 // spanOrParent picks the context child calls should hang off: the
@@ -388,34 +361,49 @@ func spanOrParent(sp trace.Span, parent trace.SpanContext) trace.SpanContext {
 	return parent
 }
 
-// Lookup implements phi.ContextSource: owner first, one retry on the
-// fallback replica, then degrade.
-func (f *Frontend) Lookup(path phi.PathKey) (phi.Context, error) {
-	return f.LookupSpan(trace.SpanContext{}, path)
-}
-
-// LookupSpan is Lookup joined to a caller's trace: the routing span it
-// records (and every shard-call span under it) becomes a child of
-// parent, so a wire request traced at the client shows owner attempts,
-// retries, and failovers as nested spans.
-func (f *Frontend) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.Context, error) {
+// route is the frontend's one body, the whole routing rule: the owner
+// first; on failure one retry against the path's fallback replica; when
+// that fails too, or the ring has no fallback (one shard), degrade —
+// ErrAllReplicasDown, which phi.Client turns into policy defaults. A
+// report the owner took is, when replication is on, mirrored to the
+// fallback so a later failover finds warm state; mirror failures are
+// best-effort: they feed the breaker but never fail the report.
+//
+// The routing span it records (and every shard-call span under it)
+// becomes a child of parent, so a wire request traced at the client shows
+// owner attempts, retries, and failovers as nested spans (mirrors are
+// deliberately not noted — replication is routine, not interesting).
+func (f *Frontend) route(parent trace.SpanContext, op phi.Op) (phi.Context, error) {
 	m := f.metrics
-	f.lookups.Add(1)
-	if m != nil {
-		m.Lookups.Inc()
+	lookup := op.Kind == phi.OpLookup
+	path := string(op.Path)
+	if lookup {
+		f.lookups.Add(1)
+		if m != nil {
+			m.Lookups.Inc()
+		}
+		f.hmon.RecordLookup(path)
+	} else {
+		f.reports.Add(1)
+		if m != nil {
+			m.Reports.Inc()
+		}
+		f.hmon.RecordReport(path)
 	}
-	f.hmon.RecordLookup(string(path))
-	f.hmon.RecordTrace(string(path), uint64(parent.Trace))
-	sp := f.tracer.Start(parent, opFrontLookup)
+	f.hmon.RecordTrace(path, uint64(parent.Trace))
+	sp := f.tracer.Start(parent, frontOpNames[op.Kind])
 	sc := spanOrParent(sp, parent)
-	owner, fb := f.ring.OwnerAndFallback(path)
-	var ctx phi.Context
-	get := func(i int, csc trace.SpanContext) error {
-		var err error
-		ctx, err = f.connLookup(i, csc, path)
-		return err
-	}
-	if err := f.call(owner, sc, get); err == nil {
+	owner, fb := f.ring.OwnerAndFallback(op.Path)
+	ctx, err := f.call(owner, sc, op)
+	if err == nil {
+		if !lookup && f.cfg.ReplicateReports && fb >= 0 {
+			if _, merr := f.call(fb, sc, op); merr == nil {
+				f.mirrored.Add(1)
+				if m != nil {
+					m.Mirrored.Inc()
+				}
+			}
+		}
 		sp.End(nil)
 		return ctx, nil
 	}
@@ -426,7 +414,7 @@ func (f *Frontend) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.C
 		}
 		f.hmon.RecordRouting(healthmon.RouteRetry)
 		sp.Note(noteRetry)
-		if err := f.call(fb, sc, get); err == nil {
+		if ctx, err = f.call(fb, sc, op); err == nil {
 			f.failovers.Add(1)
 			if m != nil {
 				m.Failovers.Inc()
@@ -442,10 +430,22 @@ func (f *Frontend) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.C
 		m.Degraded.Inc()
 	}
 	f.hmon.RecordRouting(healthmon.RouteDegraded)
-	f.quality.ObserveFallback(string(path))
+	if lookup {
+		f.quality.ObserveFallback(path)
+	}
 	sp.Note(degradedTriedNote(owner, fb))
 	sp.End(ErrAllReplicasDown)
 	return phi.Context{}, ErrAllReplicasDown
+}
+
+// Lookup implements phi.ContextSource.
+func (f *Frontend) Lookup(path phi.PathKey) (phi.Context, error) {
+	return f.LookupSpan(trace.SpanContext{}, path)
+}
+
+// LookupSpan is Lookup joined to a caller's trace.
+func (f *Frontend) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.Context, error) {
+	return f.route(parent, phi.Op{Kind: phi.OpLookup, Path: path})
 }
 
 // ReportStart implements phi.Reporter.
@@ -455,9 +455,8 @@ func (f *Frontend) ReportStart(path phi.PathKey) error {
 
 // ReportStartSpan is ReportStart joined to a caller's trace.
 func (f *Frontend) ReportStartSpan(parent trace.SpanContext, path phi.PathKey) error {
-	return f.deliverReport(parent, opFrontStart, path, func(i int, sc trace.SpanContext) error {
-		return f.connReportStart(i, sc, path)
-	})
+	_, err := f.route(parent, phi.Op{Kind: phi.OpReportStart, Path: path})
+	return err
 }
 
 // ReportEnd implements phi.Reporter.
@@ -467,9 +466,8 @@ func (f *Frontend) ReportEnd(path phi.PathKey, r phi.Report) error {
 
 // ReportEndSpan is ReportEnd joined to a caller's trace.
 func (f *Frontend) ReportEndSpan(parent trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return f.deliverReport(parent, opFrontEnd, path, func(i int, sc trace.SpanContext) error {
-		return f.connReportEnd(i, sc, path, r)
-	})
+	_, err := f.route(parent, phi.Op{Kind: phi.OpReportEnd, Path: path, Report: r})
+	return err
 }
 
 // ReportProgress forwards a mid-connection report.
@@ -479,70 +477,8 @@ func (f *Frontend) ReportProgress(path phi.PathKey, r phi.Report) error {
 
 // ReportProgressSpan is ReportProgress joined to a caller's trace.
 func (f *Frontend) ReportProgressSpan(parent trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return f.deliverReport(parent, opFrontProgress, path, func(i int, sc trace.SpanContext) error {
-		return f.connReportProgress(i, sc, path, r)
-	})
-}
-
-// deliverReport routes a report to the owner (failing over once to the
-// fallback) and, when replication is on, mirrors it to the fallback so a
-// later failover finds warm state. Mirror failures are best-effort: they
-// feed the breaker but never fail the report. Routing decisions are
-// recorded on a span under parent (mirrors are deliberately not noted —
-// replication is routine, not interesting).
-func (f *Frontend) deliverReport(parent trace.SpanContext, name trace.Ref, path phi.PathKey, op func(i int, sc trace.SpanContext) error) error {
-	m := f.metrics
-	f.reports.Add(1)
-	if m != nil {
-		m.Reports.Inc()
-	}
-	f.hmon.RecordReport(string(path))
-	f.hmon.RecordTrace(string(path), uint64(parent.Trace))
-	sp := f.tracer.Start(parent, name)
-	sc := spanOrParent(sp, parent)
-	owner, fb := f.ring.OwnerAndFallback(path)
-	err := f.call(owner, sc, op)
-	switch {
-	case err == nil:
-		if f.cfg.ReplicateReports && fb >= 0 {
-			if f.call(fb, sc, op) == nil {
-				f.mirrored.Add(1)
-				if m != nil {
-					m.Mirrored.Inc()
-				}
-			}
-		}
-		sp.End(nil)
-		return nil
-	case fb >= 0:
-		f.retries.Add(1)
-		if m != nil {
-			m.Retries.Inc()
-		}
-		f.hmon.RecordRouting(healthmon.RouteRetry)
-		sp.Note(noteRetry)
-		if f.call(fb, sc, op) == nil {
-			f.failovers.Add(1)
-			if m != nil {
-				m.Failovers.Inc()
-			}
-			f.hmon.RecordRouting(healthmon.RouteFailover)
-			sp.Note(noteFailover)
-			sp.End(nil)
-			return nil
-		}
-		f.degraded.Add(1)
-		if m != nil {
-			m.Degraded.Inc()
-		}
-		f.hmon.RecordRouting(healthmon.RouteDegraded)
-		sp.Note(degradedTriedNote(owner, fb))
-		sp.End(ErrAllReplicasDown)
-		return ErrAllReplicasDown
-	default:
-		sp.End(err)
-		return err
-	}
+	_, err := f.route(parent, phi.Op{Kind: phi.OpReportProgress, Path: path, Report: r})
+	return err
 }
 
 // pathRegistrar is the optional capacity-registration facet of a shard

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	healthmon "repro/internal/health"
 	"repro/internal/phi"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeConn is a controllable shard connection for routing tests.
@@ -240,5 +242,52 @@ func TestFrontendReportFailover(t *testing.T) {
 	fakes[fb].setFail(true)
 	if err := f.ReportEnd(path, phi.Report{}); !errors.Is(err, ErrAllReplicasDown) {
 		t.Errorf("err = %v, want ErrAllReplicasDown", err)
+	}
+}
+
+// A one-shard ring has no fallback (`phi-cluster -shards 1`), and the
+// routing rule for it is the same for every operation: a failed owner
+// call degrades. Reports used to return the raw shard error and count
+// nothing.
+func TestFrontendNoFallbackDegrades(t *testing.T) {
+	cl := New(Config{Shards: 1})
+	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	cl.Trace(tracer)
+	mon := healthmon.NewMonitor(healthmon.Config{Shards: 1})
+	cl.Health(mon)
+	cl.Shards[0].Crash()
+
+	f := cl.Frontend
+	ops := []struct {
+		span string
+		call func() error
+	}{
+		{"frontend.lookup", func() error { _, err := f.Lookup("p"); return err }},
+		{"frontend.report_start", func() error { return f.ReportStart("p") }},
+		{"frontend.report_progress", func() error { return f.ReportProgress("p", phi.Report{Bytes: 1}) }},
+		{"frontend.report_end", func() error { return f.ReportEnd("p", phi.Report{Bytes: 1}) }},
+	}
+	for i, op := range ops {
+		if err := op.call(); !errors.Is(err, ErrAllReplicasDown) {
+			t.Errorf("%s: err = %v, want ErrAllReplicasDown", op.span, err)
+		}
+		want := uint64(i + 1)
+		if got := f.Stats().Degraded; got != want {
+			t.Errorf("%s: Degraded = %d, want %d", op.span, got, want)
+		}
+		if got := mon.Snapshot().Routing.Degraded; got != want {
+			t.Errorf("%s: monitor saw %d degraded routings, want %d", op.span, got, want)
+		}
+	}
+	notes := make(map[string]string)
+	for _, tc := range tracer.Collector().Errors() {
+		for _, sp := range tc.Spans {
+			notes[sp.Name] = sp.Note
+		}
+	}
+	for _, op := range ops {
+		if got, want := notes[op.span], "degraded tried=[0]"; got != want {
+			t.Errorf("%s span note = %q, want %q", op.span, got, want)
+		}
 	}
 }

@@ -67,9 +67,24 @@ func (s *Shard) server() *phi.Server {
 	return s.srv
 }
 
+// do is the shard's one body: a crashed shard refuses, a live one hands
+// op to its phi.Server.
+func (s *Shard) do(sc trace.SpanContext, op phi.Op) (phi.Context, error) {
+	srv := s.server()
+	if srv == nil {
+		return phi.Context{}, ErrShardDown
+	}
+	return op.Do(sc, srv, srv)
+}
+
 // Lookup implements Conn.
 func (s *Shard) Lookup(path phi.PathKey) (phi.Context, error) {
 	return s.LookupSpan(trace.SpanContext{}, path)
+}
+
+// LookupSpan implements TracedConn; the zero context is the untraced call.
+func (s *Shard) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
+	return s.do(sc, phi.Op{Kind: phi.OpLookup, Path: path})
 }
 
 // ReportStart implements Conn.
@@ -77,14 +92,32 @@ func (s *Shard) ReportStart(path phi.PathKey) error {
 	return s.ReportStartSpan(trace.SpanContext{}, path)
 }
 
+// ReportStartSpan implements TracedConn.
+func (s *Shard) ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error {
+	_, err := s.do(sc, phi.Op{Kind: phi.OpReportStart, Path: path})
+	return err
+}
+
 // ReportEnd implements Conn.
 func (s *Shard) ReportEnd(path phi.PathKey, r phi.Report) error {
 	return s.ReportEndSpan(trace.SpanContext{}, path, r)
 }
 
+// ReportEndSpan implements TracedConn.
+func (s *Shard) ReportEndSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
+	_, err := s.do(sc, phi.Op{Kind: phi.OpReportEnd, Path: path, Report: r})
+	return err
+}
+
 // ReportProgress implements Conn.
 func (s *Shard) ReportProgress(path phi.PathKey, r phi.Report) error {
 	return s.ReportProgressSpan(trace.SpanContext{}, path, r)
+}
+
+// ReportProgressSpan implements TracedConn.
+func (s *Shard) ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
+	_, err := s.do(sc, phi.Op{Kind: phi.OpReportProgress, Path: path, Report: r})
+	return err
 }
 
 // RegisterPath forwards to the backing server (no-op while down).
@@ -123,42 +156,6 @@ func (s *Shard) Freshness() []quality.PathFreshness {
 		return nil
 	}
 	return srv.Freshness()
-}
-
-// LookupSpan implements TracedConn; the zero context is the untraced call.
-func (s *Shard) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	srv := s.server()
-	if srv == nil {
-		return phi.Context{}, ErrShardDown
-	}
-	return srv.LookupSpan(sc, path)
-}
-
-// ReportStartSpan implements TracedConn.
-func (s *Shard) ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportStartSpan(sc, path)
-}
-
-// ReportEndSpan implements TracedConn.
-func (s *Shard) ReportEndSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportEndSpan(sc, path, r)
-}
-
-// ReportProgressSpan implements TracedConn.
-func (s *Shard) ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportProgressSpan(sc, path, r)
 }
 
 // Crash simulates process loss: the shard goes down and all in-memory

@@ -122,6 +122,10 @@ func (s *Shard) SaveSnapshot(dir string) error {
 	err := WriteSnapshotFile(SnapshotPath(dir, s.ID), s.TakeSnapshot())
 	if err == nil {
 		s.lastSnap.Store(time.Now().UnixNano())
+	} else {
+		// The temp file's name, which is what most write errors carry,
+		// does not say whose snapshot it was.
+		err = fmt.Errorf("cluster: snapshot shard %d: %w", s.ID, err)
 	}
 	if m != nil {
 		m.Seconds.Observe(time.Since(start))
@@ -151,6 +155,17 @@ func (s *Shard) LoadSnapshot(dir string) (bool, error) {
 // until the returned stop function is called; stop takes a final
 // snapshot before returning. Write errors go to logf (nil discards).
 func (s *Shard) StartSnapshotter(dir string, interval time.Duration, logf func(string, ...any)) (stop func()) {
+	return StartSnapshotLoop(interval, logf, func() error { return s.SaveSnapshot(dir) })
+}
+
+// StartSnapshotLoop is the one snapshotter loop, under Shard's
+// snapshotter and the fleet's per-member one alike: it calls save every
+// interval until the returned stop function is called. stop makes the
+// loop take one final save and returns once its goroutine has exited, so
+// no earlier save is still writing — an older export can never be
+// renamed over the final one — and nothing outlives the call. Calling
+// stop again is a no-op. Errors from save go to logf (nil discards).
+func StartSnapshotLoop(interval time.Duration, logf func(string, ...any), save func() error) (stop func()) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -163,12 +178,12 @@ func (s *Shard) StartSnapshotter(dir string, interval time.Duration, logf func(s
 		for {
 			select {
 			case <-t.C:
-				if err := s.SaveSnapshot(dir); err != nil {
-					logf("cluster: snapshot shard %d: %v", s.ID, err)
+				if err := save(); err != nil {
+					logf("%v", err)
 				}
 			case <-done:
-				if err := s.SaveSnapshot(dir); err != nil {
-					logf("cluster: final snapshot shard %d: %v", s.ID, err)
+				if err := save(); err != nil {
+					logf("on stop: %v", err)
 				}
 				return
 			}

@@ -161,26 +161,12 @@ func (f *Fleet) Quality(q *quality.Tracker) {
 // context in /debug/fleet.
 func (f *Fleet) Health(m *healthmon.Monitor) {
 	f.Frontend.SetHealth(m)
-	if m != nil {
-		m.SetSnapshotAges(f.SnapshotAges)
-	}
+	m.SetSnapshotAges(f.SnapshotAges)
 	f.Controller.monitor = m
 }
 
 // SetLogger attaches structured logging to the controller.
 func (f *Fleet) SetLogger(l *tlog.Logger) { f.Controller.SetLogger(l) }
-
-// SaveSnapshots writes every member's primary snapshot under dir (same
-// file layout as a plain cluster, so fleet and non-fleet deployments
-// share snapshot dirs).
-func (f *Fleet) SaveSnapshots(dir string) error {
-	for _, m := range f.Members {
-		if err := m.SaveSnapshot(dir); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // LoadSnapshots rehydrates every member that has a snapshot file under
 // dir (primary restored, backup reseeded), returning how many restored.
@@ -197,40 +183,20 @@ func (f *Fleet) LoadSnapshots(dir string) (restored int, err error) {
 	return restored, nil
 }
 
-// StartSnapshotters starts one periodic snapshotter goroutine per member.
+// StartSnapshotters starts one periodic snapshotter per member; the
+// returned stop function stops them all, each taking a final snapshot.
 // Unlike cluster's per-shard snapshotters this runs at the member level:
-// the primary identity changes on promotion, so the ticker must resolve
-// which replica to persist at each cycle, not bind one at start.
+// the primary identity changes on promotion, so each cycle must resolve
+// which replica to persist, not bind one at start.
 func (f *Fleet) StartSnapshotters(dir string, interval time.Duration, logf func(string, ...any)) (stop func()) {
-	done := make(chan struct{})
-	stops := make([]func(), 0, len(f.Members))
-	for _, m := range f.Members {
+	stops := make([]func(), len(f.Members))
+	for i, m := range f.Members {
 		m := m
-		ticker := time.NewTicker(interval)
-		go func() {
-			for {
-				select {
-				case <-done:
-					return
-				case <-ticker.C:
-					if err := m.SaveSnapshot(dir); err != nil && logf != nil {
-						logf("fleet: snapshot member %d: %v", m.Index, err)
-					}
-				}
-			}
-		}()
-		stops = append(stops, ticker.Stop)
+		stops[i] = cluster.StartSnapshotLoop(interval, logf, func() error { return m.SaveSnapshot(dir) })
 	}
 	return func() {
-		close(done)
-		for _, s := range stops {
-			s()
-		}
-		// Final snapshot on the way out, mirroring cluster's snapshotter.
-		for _, m := range f.Members {
-			if err := m.SaveSnapshot(dir); err != nil && logf != nil {
-				logf("fleet: final snapshot member %d: %v", m.Index, err)
-			}
+		for _, st := range stops {
+			st()
 		}
 	}
 }

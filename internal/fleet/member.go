@@ -25,23 +25,12 @@ var (
 	ErrPrimaryDown = errors.New("fleet: primary down, nothing to sync from")
 )
 
-// reportKind discriminates the three replayable report operations.
-type reportKind uint8
-
-const (
-	reportStart reportKind = iota
-	reportEnd
-	reportProgress
-)
-
-// reportRecord is one mirrored report in the catch-up buffer: everything
-// needed to replay the operation into a backup that was being reseeded
+// reportRecord is one mirrored report in the catch-up buffer: the
+// operation itself, to replay into a backup that was being reseeded
 // while the report arrived.
 type reportRecord struct {
-	seq  uint64
-	kind reportKind
-	path phi.PathKey
-	rep  phi.Report
+	seq uint64
+	op  phi.Op
 }
 
 // DefaultReplayBuffer bounds the mirrored-report catch-up buffer. Past
@@ -126,14 +115,6 @@ func NewMember(index int, clock func() sim.Time, cfg phi.ServerConfig, replayBuf
 	return m
 }
 
-// replicas returns the current primary/backup pair and the backup's
-// liveness under a consistent read.
-func (m *Member) replicas() (primary, backup *cluster.Shard, live bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.primary, m.backup, m.backupLive
-}
-
 // Primary returns the shard currently serving as primary (it changes on
 // promotion). Exposed for snapshotters and debug handlers.
 func (m *Member) Primary() *cluster.Shard {
@@ -161,101 +142,66 @@ func (m *Member) SetQuality(q *quality.Tracker) {
 	m.backup.SetQuality(nil)
 }
 
-// Lookup implements cluster.Conn.
-func (m *Member) Lookup(path phi.PathKey) (phi.Context, error) {
-	return m.LookupSpan(trace.SpanContext{}, path)
-}
-
-// LookupSpan implements cluster.TracedConn (the zero context is the
-// untraced call): the primary answers; if it is down and the backup is
-// live, the backup answers instead — a crashed primary costs zero failed
-// lookups, not a failover round trip at the frontend.
-func (m *Member) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	p, b, live := m.replicas()
-	ctx, err := p.LookupSpan(sc, path)
-	if err == nil {
-		return ctx, nil
-	}
-	if errors.Is(err, cluster.ErrShardDown) && live {
-		if bctx, berr := b.LookupSpan(sc, path); berr == nil {
-			m.backupServed.Add(1)
-			if mt := m.metrics; mt != nil {
-				mt.BackupServed.Inc()
-			}
-			return bctx, nil
-		}
-	}
-	return ctx, err
-}
-
-// applyReport dispatches one report operation to a shard under sc (the
-// zero context for an untraced report or a catch-up replay).
-func applyReport(s *cluster.Shard, sc trace.SpanContext, kind reportKind, path phi.PathKey, rep phi.Report) error {
-	switch kind {
-	case reportStart:
-		return s.ReportStartSpan(sc, path)
-	case reportEnd:
-		return s.ReportEndSpan(sc, path, rep)
-	default:
-		return s.ReportProgressSpan(sc, path, rep)
-	}
-}
-
-// deliver routes one report: primary first (mirroring to the backup),
-// live backup if the primary is down. The whole operation holds m.mu so
-// the mirror stream reaching the backup is the exact sequence the
-// primary applied — order is what makes the replicas equivalent.
-func (m *Member) deliver(sc trace.SpanContext, kind reportKind, path phi.PathKey, rep phi.Report) error {
+// do is the member's one body, the primary→backup rule: the primary
+// answers; if it is down and the backup is live, the backup answers
+// instead — a crashed primary costs zero failed operations, not a
+// failover round trip at the frontend — and is the copy of record until
+// the controller promotes it. A report the primary took is mirrored to
+// the backup.
+func (m *Member) do(sc trace.SpanContext, op phi.Op) (phi.Context, error) {
+	report := op.Kind != phi.OpLookup
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.seq++
-
-	apply := func(s *cluster.Shard) error { return applyReport(s, sc, kind, path, rep) }
-
-	if err := apply(m.primary); err != nil {
-		if !errors.Is(err, cluster.ErrShardDown) {
-			return err
+	p, b, live := m.primary, m.backup, m.backupLive
+	if report {
+		// A report holds m.mu to the end, so the mirror stream reaching
+		// the backup is the exact sequence the primary applied — order is
+		// what makes the replicas equivalent. A lookup orders nothing.
+		defer m.mu.Unlock()
+		m.seq++
+	} else {
+		m.mu.Unlock()
+	}
+	ctx, err := op.Do(sc, p, p)
+	if err != nil {
+		if !errors.Is(err, cluster.ErrShardDown) || !live {
+			return ctx, err
 		}
-		// Primary down: the live backup is the copy of record until the
-		// controller promotes it. No mirroring — it IS the only copy.
-		if !m.backupLive {
-			return err
-		}
-		if berr := apply(m.backup); berr != nil {
-			return err // report the primary's error; the backup just died too
+		bctx, berr := op.Do(sc, b, b)
+		if berr != nil {
+			return ctx, err // report the primary's error; the backup just died too
 		}
 		m.backupServed.Add(1)
 		if mt := m.metrics; mt != nil {
 			mt.BackupServed.Inc()
 		}
-		return nil
+		return bctx, nil
 	}
+	if report {
+		m.mirror(sc, op)
+	}
+	return ctx, nil
+}
 
-	// Mirror to the backup; failures demote it to not-live (buffering
-	// starts) but never fail the report — replication is best-effort
-	// between syncs, exactly like the frontend's report mirroring.
+// mirror copies a report the primary applied to the backup. Failures
+// demote the backup to not-live (buffering starts) but never fail the
+// report — replication is best-effort between syncs, exactly like the
+// frontend's report mirroring. Caller holds m.mu.
+func (m *Member) mirror(sc trace.SpanContext, op phi.Op) {
 	if m.backupLive {
-		if merr := apply(m.backup); merr != nil {
-			m.mirrorErrs.Add(1)
-			m.backupLive = false
-			if mt := m.metrics; mt != nil {
-				mt.MirrorErrors.Inc()
-			}
-			m.buffer(kind, path, rep)
-		} else {
+		if _, err := op.Do(sc, m.backup, m.backup); err == nil {
 			m.mirrored.Add(1)
 			if mt := m.metrics; mt != nil {
 				mt.Mirrored.Inc()
 			}
+			return
 		}
-		return nil
+		m.mirrorErrs.Add(1)
+		m.backupLive = false
+		if mt := m.metrics; mt != nil {
+			mt.MirrorErrors.Inc()
+		}
 	}
-	m.buffer(kind, path, rep)
-	return nil
-}
-
-// buffer queues one mirrored report for catch-up replay. Caller holds m.mu.
-func (m *Member) buffer(kind reportKind, path phi.PathKey, rep phi.Report) {
+	// Queue for catch-up replay.
 	if len(m.pending) >= m.pendingCap {
 		// Drop oldest: catch-up starts from a fresh snapshot, so losing
 		// old buffered entries only matters if the snapshot predates
@@ -267,37 +213,51 @@ func (m *Member) buffer(kind reportKind, path phi.PathKey, rep phi.Report) {
 			mt.ReplayDropped.Inc()
 		}
 	}
-	m.pending = append(m.pending, reportRecord{seq: m.seq, kind: kind, path: path, rep: rep})
+	m.pending = append(m.pending, reportRecord{seq: m.seq, op: op})
+}
+
+// Lookup implements cluster.Conn.
+func (m *Member) Lookup(path phi.PathKey) (phi.Context, error) {
+	return m.LookupSpan(trace.SpanContext{}, path)
+}
+
+// LookupSpan implements cluster.TracedConn (the zero context is the
+// untraced call).
+func (m *Member) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
+	return m.do(sc, phi.Op{Kind: phi.OpLookup, Path: path})
 }
 
 // ReportStart implements cluster.Conn.
 func (m *Member) ReportStart(path phi.PathKey) error {
-	return m.deliver(trace.SpanContext{}, reportStart, path, phi.Report{})
-}
-
-// ReportEnd implements cluster.Conn.
-func (m *Member) ReportEnd(path phi.PathKey, r phi.Report) error {
-	return m.deliver(trace.SpanContext{}, reportEnd, path, r)
-}
-
-// ReportProgress implements cluster.Conn.
-func (m *Member) ReportProgress(path phi.PathKey, r phi.Report) error {
-	return m.deliver(trace.SpanContext{}, reportProgress, path, r)
+	return m.ReportStartSpan(trace.SpanContext{}, path)
 }
 
 // ReportStartSpan implements cluster.TracedConn.
 func (m *Member) ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error {
-	return m.deliver(sc, reportStart, path, phi.Report{})
+	_, err := m.do(sc, phi.Op{Kind: phi.OpReportStart, Path: path})
+	return err
+}
+
+// ReportEnd implements cluster.Conn.
+func (m *Member) ReportEnd(path phi.PathKey, r phi.Report) error {
+	return m.ReportEndSpan(trace.SpanContext{}, path, r)
 }
 
 // ReportEndSpan implements cluster.TracedConn.
 func (m *Member) ReportEndSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return m.deliver(sc, reportEnd, path, r)
+	_, err := m.do(sc, phi.Op{Kind: phi.OpReportEnd, Path: path, Report: r})
+	return err
+}
+
+// ReportProgress implements cluster.Conn.
+func (m *Member) ReportProgress(path phi.PathKey, r phi.Report) error {
+	return m.ReportProgressSpan(trace.SpanContext{}, path, r)
 }
 
 // ReportProgressSpan implements cluster.TracedConn.
 func (m *Member) ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return m.deliver(sc, reportProgress, path, r)
+	_, err := m.do(sc, phi.Op{Kind: phi.OpReportProgress, Path: path, Report: r})
+	return err
 }
 
 // RegisterPath declares a path capacity on both replicas, so a promoted
@@ -366,7 +326,7 @@ func (m *Member) SyncBackup() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, r := range m.pending {
-		if err := applyReport(backup, trace.SpanContext{}, r.kind, r.path, r.rep); err != nil {
+		if _, err := r.op.Do(trace.SpanContext{}, backup, backup); err != nil {
 			// The backup died mid-replay; leave it not-live for the
 			// controller's next pass.
 			return fmt.Errorf("fleet: replay into backup %d: %w", m.Index, err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/phi"
 	"repro/internal/quality"
 	"repro/internal/sim"
@@ -183,22 +182,6 @@ func TestReplayBufferBounded(t *testing.T) {
 	// records are inside the snapshot and the replicas still converge.
 	if err := EquivalentStates(m.Primary().Export(), m.Backup().Export(), true); err != nil {
 		t.Fatalf("backup diverged despite drops: %v", err)
-	}
-}
-
-// Both replicas down is a real outage: the member surfaces ErrShardDown
-// so the frontend's ring-level degradation (fallback, then policy
-// defaults) takes over.
-func TestMemberDeadSurfacesShardDown(t *testing.T) {
-	m, now := newTestMember()
-	feedMember(t, m, "path-a", now, 2)
-	m.KillBackup()
-	m.KillPrimary()
-	if _, err := m.Lookup("path-a"); !errors.Is(err, cluster.ErrShardDown) {
-		t.Fatalf("dead member lookup err = %v, want ErrShardDown", err)
-	}
-	if err := m.ReportStart("path-a"); !errors.Is(err, cluster.ErrShardDown) {
-		t.Fatalf("dead member report err = %v, want ErrShardDown", err)
 	}
 }
 

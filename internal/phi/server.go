@@ -217,8 +217,9 @@ func (s *Server) evictIdleLocked() {
 // removed. Safe to call while serving.
 func (s *Server) EvictedPaths() uint64 { return s.evicted.Load() }
 
-// Lookup implements ContextSource. It never fails in-process.
-func (s *Server) Lookup(path PathKey) (Context, error) {
+// lookup computes the path's current context from the evidence inside
+// the estimation window.
+func (s *Server) lookup(path PathKey) Context {
 	m := s.metrics
 	var start time.Time
 	if m != nil {
@@ -297,11 +298,11 @@ func (s *Server) Lookup(path PathKey) (Context, error) {
 	if q != nil {
 		q.ObserveLookup(string(path), outcome, ageActive, agePassiv, predRTT, predLoss, predValid)
 	}
-	return ctx, nil
+	return ctx
 }
 
-// ReportStart implements Reporter.
-func (s *Server) ReportStart(path PathKey) error {
+// reportStart registers one more active sender on the path.
+func (s *Server) reportStart(path PathKey) {
 	m := s.metrics
 	var start time.Time
 	if m != nil {
@@ -317,24 +318,11 @@ func (s *Server) ReportStart(path PathKey) error {
 		m.Reports.Inc()
 		m.ReportSeconds.Observe(time.Since(start))
 	}
-	return nil
 }
 
-// ReportEnd implements Reporter.
-func (s *Server) ReportEnd(path PathKey, r Report) error {
-	return s.report(path, r, true)
-}
-
-// ReportProgress folds a mid-connection report in without retiring the
-// sender's registration — the paper's long-connection refinement: "if the
-// connections are long, we could communicate with the context server
-// multiple times within the same connection." The report should carry the
-// bytes moved since the previous report, not the running total.
-func (s *Server) ReportProgress(path PathKey, r Report) error {
-	return s.report(path, r, false)
-}
-
-func (s *Server) report(path PathKey, r Report, end bool) error {
+// report folds r into the path's estimates; an end report also retires
+// the oldest registration, a progress report leaves it standing.
+func (s *Server) report(path PathKey, r Report, end bool) {
 	m := s.metrics
 	var start time.Time
 	if m != nil {
@@ -420,7 +408,6 @@ func (s *Server) report(path PathKey, r Report, end bool) error {
 		}
 		qt.ObserveReport(string(path), src, int64(r.AvgRTT), r.LossRate)
 	}
-	return nil
 }
 
 // expireActives drops registrations older than the TTL.
@@ -521,12 +508,3 @@ type Oracle struct {
 
 // Lookup implements ContextSource.
 func (o Oracle) Lookup(PathKey) (Context, error) { return o.Fn(), nil }
-
-// LinkOracle builds an Oracle over a monitored link: utilization and mean
-// queueing delay over a trailing measurement (the monitor's interval), and
-// an externally maintained sender count.
-func LinkOracle(mon *sim.LinkMonitor, active func() int) Oracle {
-	return Oracle{Fn: func() Context {
-		return Context{U: mon.Utilization(), Q: mon.MeanQueueDelay(), N: active()}
-	}}
-}

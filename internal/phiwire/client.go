@@ -12,13 +12,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Client-side span names.
+// Client-side span names; those of the four operations by phi.OpKind.
 var (
-	opClientDial     = trace.Name("client.dial")
-	opClientLookup   = trace.Name("client.lookup")
-	opClientStart    = trace.Name("client.report_start")
-	opClientEnd      = trace.Name("client.report_end")
-	opClientProgress = trace.Name("client.report_progress")
+	opClientDial  = trace.Name("client.dial")
+	clientOpNames = [...]trace.Ref{
+		phi.OpLookup:         trace.Name("client.lookup"),
+		phi.OpReportStart:    trace.Name("client.report_start"),
+		phi.OpReportEnd:      trace.Name("client.report_end"),
+		phi.OpReportProgress: trace.Name("client.report_progress"),
+	}
 )
 
 // Client-side sub-span stage names: finer-grained than spans (no ring
@@ -57,10 +59,6 @@ type Client struct {
 	// dial establishes the connection; tests inject failures and count
 	// connections through it.
 	dial func(addr string, timeout time.Duration) (net.Conn, error)
-
-	// metrics is the optional telemetry surface (nil = uninstrumented).
-	// Set before first use.
-	metrics *ClientMetrics
 
 	// tracer records per-request spans (nil = untraced). Set before
 	// first use. With a tracer set the client also negotiates the trace
@@ -106,10 +104,6 @@ func Dial(addr string, timeout time.Duration) *Client {
 	}
 }
 
-// SetMetrics attaches (or detaches, with nil) the telemetry surface.
-// Call before the client is shared across goroutines.
-func (c *Client) SetMetrics(m *ClientMetrics) { c.metrics = m }
-
 // SetTracer attaches (or detaches, with nil) the span tracer. Call
 // before the client is shared across goroutines.
 func (c *Client) SetTracer(t *trace.Tracer) { c.tracer = t }
@@ -139,22 +133,6 @@ func (c *Client) Close() error {
 // connection before returning, so repeated failures churn through at
 // most one live connection.
 func (c *Client) roundTrip(sc trace.SpanContext, req []byte) ([]byte, error) {
-	m := c.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	resp, err := c.lockedRoundTrip(sc, req)
-	if m != nil {
-		m.RTTSeconds.ObserveExemplar(time.Since(start), uint64(sc.Trace))
-		if err != nil {
-			m.Errors.Inc()
-		}
-	}
-	return resp, err
-}
-
-func (c *Client) lockedRoundTrip(sc trace.SpanContext, req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -168,7 +146,6 @@ func (c *Client) lockedRoundTrip(sc trace.SpanContext, req []byte) ([]byte, erro
 			return nil, err
 		}
 		c.conn = obs.CountConn(conn, c.wire)
-		c.metrics.DialsInc()
 		if c.tracer != nil {
 			if err := c.negotiate(); err != nil {
 				dsp.End(err)
@@ -244,14 +221,6 @@ func (c *Client) negotiate() error {
 	return nil
 }
 
-// DialsInc is a nil-safe dial-counter bump.
-func (m *ClientMetrics) DialsInc() {
-	if m == nil {
-		return
-	}
-	m.Dials.Inc()
-}
-
 func (c *Client) drop() {
 	if c.conn != nil {
 		c.conn.Close()
@@ -275,43 +244,61 @@ func errFromResponse(resp []byte) error {
 	return ServerError(msg)
 }
 
-// Lookup implements phi.ContextSource.
-func (c *Client) Lookup(path phi.PathKey) (phi.Context, error) {
-	return c.LookupSpan(trace.SpanContext{}, path)
-}
-
-// LookupSpan is Lookup joined to a caller's trace: the client span it
-// records (and propagates on the wire) is a child of parent. With no
-// tracer attached, the parent context itself is forwarded, so an
-// untraced relay still preserves the caller's trace across processes.
-func (c *Client) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.Context, error) {
+// do is the client's one body: encode op, open the client span, one
+// round trip, decode the answer the operation expects (a context for a
+// lookup, an OK for a report). The span it records (and propagates on
+// the wire) is a child of parent. With no tracer attached, the parent
+// context itself is forwarded, so an untraced relay still preserves the
+// caller's trace across processes.
+func (c *Client) do(parent trace.SpanContext, op phi.Op) (phi.Context, error) {
 	st := c.tracer.Stages()
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	req, err := encodeLookup(path)
+	req, err := encodeOp(op)
 	if st != nil {
 		st.Observe(stClientEncode, time.Since(t0))
 	}
 	if err != nil {
 		return phi.Context{}, err
 	}
-	sp := c.tracer.Start(parent, opClientLookup)
-	resp, err := c.roundTrip(wireContext(sp, parent), req)
+	sp := c.tracer.Start(parent, clientOpNames[op.Kind])
+	// On the wire goes the client's own span when it has a tracer, the
+	// caller's otherwise.
+	sc := sp.Context()
+	if !sc.Valid() {
+		sc = parent
+	}
+	resp, err := c.roundTrip(sc, req)
 	if err == nil {
 		err = errFromResponse(resp)
 	}
 	var ctx phi.Context
 	if err == nil {
-		if resp[0] != MsgContext {
+		switch {
+		case op.Kind != phi.OpLookup:
+			if resp[0] != MsgOK {
+				err = ErrMalformed
+			}
+		case resp[0] != MsgContext:
 			err = ErrMalformed
-		} else {
+		default:
 			ctx, err = decodeContext(resp[1:])
 		}
 	}
 	sp.End(err)
 	return ctx, err
+}
+
+// Lookup implements phi.ContextSource.
+func (c *Client) Lookup(path phi.PathKey) (phi.Context, error) {
+	return c.LookupSpan(trace.SpanContext{}, path)
+}
+
+// LookupSpan is Lookup joined to a caller's trace.
+func (c *Client) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.Context, error) {
+	return c.do(parent, phi.Op{Kind: phi.OpLookup, Path: path})
 }
 
 // ReportStart implements phi.Reporter.
@@ -321,19 +308,8 @@ func (c *Client) ReportStart(path phi.PathKey) error {
 
 // ReportStartSpan is ReportStart joined to a caller's trace.
 func (c *Client) ReportStartSpan(parent trace.SpanContext, path phi.PathKey) error {
-	st := c.tracer.Stages()
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	req, err := encodeReportStart(path)
-	if st != nil {
-		st.Observe(stClientEncode, time.Since(t0))
-	}
-	if err != nil {
-		return err
-	}
-	return c.expectOK(parent, opClientStart, req)
+	_, err := c.do(parent, phi.Op{Kind: phi.OpReportStart, Path: path})
+	return err
 }
 
 // ReportEnd implements phi.Reporter.
@@ -343,19 +319,8 @@ func (c *Client) ReportEnd(path phi.PathKey, r phi.Report) error {
 
 // ReportEndSpan is ReportEnd joined to a caller's trace.
 func (c *Client) ReportEndSpan(parent trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	st := c.tracer.Stages()
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	req, err := encodeReport(MsgReportEnd, path, r)
-	if st != nil {
-		st.Observe(stClientEncode, time.Since(t0))
-	}
-	if err != nil {
-		return err
-	}
-	return c.expectOK(parent, opClientEnd, req)
+	_, err := c.do(parent, phi.Op{Kind: phi.OpReportEnd, Path: path, Report: r})
+	return err
 }
 
 // ReportProgress sends a mid-connection report (long flows, Section
@@ -366,41 +331,8 @@ func (c *Client) ReportProgress(path phi.PathKey, r phi.Report) error {
 
 // ReportProgressSpan is ReportProgress joined to a caller's trace.
 func (c *Client) ReportProgressSpan(parent trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	st := c.tracer.Stages()
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	req, err := encodeReport(MsgProgress, path, r)
-	if st != nil {
-		st.Observe(stClientEncode, time.Since(t0))
-	}
-	if err != nil {
-		return err
-	}
-	return c.expectOK(parent, opClientProgress, req)
-}
-
-func (c *Client) expectOK(parent trace.SpanContext, name trace.Ref, req []byte) error {
-	sp := c.tracer.Start(parent, name)
-	resp, err := c.roundTrip(wireContext(sp, parent), req)
-	if err == nil {
-		err = errFromResponse(resp)
-	}
-	if err == nil && (len(resp) == 0 || resp[0] != MsgOK) {
-		err = ErrMalformed
-	}
-	sp.End(err)
+	_, err := c.do(parent, phi.Op{Kind: phi.OpReportProgress, Path: path, Report: r})
 	return err
-}
-
-// wireContext picks the span context to put on the wire: the client's
-// own span when it has a tracer, the caller's otherwise.
-func wireContext(sp trace.Span, parent trace.SpanContext) trace.SpanContext {
-	if sc := sp.Context(); sc.Valid() {
-		return sc
-	}
-	return parent
 }
 
 // FetchPolicy retrieves the server's published parameter policy, so a

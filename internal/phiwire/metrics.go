@@ -1,18 +1,19 @@
 package phiwire
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/phi"
+	"repro/internal/telemetry"
+)
 
 // ServerMetrics is the wire server's telemetry surface: per-message-type
 // request counters, whole-request handling latency, and the live
 // connection count. A nil *ServerMetrics disables instrumentation; the
 // hot path then pays one branch per request.
 type ServerMetrics struct {
-	// Per-type accepted-request counters.
-	Lookups    *telemetry.Counter
-	Starts     *telemetry.Counter
-	Ends       *telemetry.Counter
-	Progresses *telemetry.Counter
-	Policies   *telemetry.Counter
+	// Per-type accepted-request counters: the four backend operations by
+	// phi.OpKind, and policy fetches.
+	Requests [4]*telemetry.Counter
+	Policies *telemetry.Counter
 	// Rejected counts malformed or unknown frames; Errors counts backend
 	// errors returned to clients (e.g. degrades under shard loss).
 	Rejected *telemetry.Counter
@@ -30,38 +31,20 @@ func NewServerMetrics(reg *telemetry.Registry) *ServerMetrics {
 	if reg == nil {
 		return nil
 	}
-	typ := func(t string) telemetry.Labels { return telemetry.Labels{"type": t} }
+	requests := func(typ string) *telemetry.Counter {
+		return reg.Counter("phiwire_server_requests_total", "requests accepted by type", telemetry.Labels{"type": typ})
+	}
 	return &ServerMetrics{
-		Lookups:       reg.Counter("phiwire_server_requests_total", "requests accepted by type", typ("lookup")),
-		Starts:        reg.Counter("phiwire_server_requests_total", "requests accepted by type", typ("report_start")),
-		Ends:          reg.Counter("phiwire_server_requests_total", "requests accepted by type", typ("report_end")),
-		Progresses:    reg.Counter("phiwire_server_requests_total", "requests accepted by type", typ("report_progress")),
-		Policies:      reg.Counter("phiwire_server_requests_total", "requests accepted by type", typ("get_policy")),
+		Requests: [4]*telemetry.Counter{
+			phi.OpLookup:         requests("lookup"),
+			phi.OpReportStart:    requests("report_start"),
+			phi.OpReportEnd:      requests("report_end"),
+			phi.OpReportProgress: requests("report_progress"),
+		},
+		Policies:      requests("get_policy"),
 		Rejected:      reg.Counter("phiwire_server_rejected_total", "malformed or unknown frames", nil),
 		Errors:        reg.Counter("phiwire_server_errors_total", "backend errors returned to clients", nil),
 		HandleSeconds: reg.Histogram("phiwire_server_handle_seconds", "request handling latency (decode+backend+encode)", nil),
 		OpenConns:     reg.Gauge("phiwire_server_open_conns", "currently connected clients", nil),
-	}
-}
-
-// ClientMetrics is the wire client's telemetry surface: dials (the first
-// connection and every reconnect after a failure), transport errors, and
-// request round-trip latency.
-type ClientMetrics struct {
-	Dials      *telemetry.Counter
-	Errors     *telemetry.Counter
-	RTTSeconds *telemetry.Histogram
-}
-
-// NewClientMetrics registers the wire-client metric set. A nil registry
-// yields nil.
-func NewClientMetrics(reg *telemetry.Registry) *ClientMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &ClientMetrics{
-		Dials:      reg.Counter("phiwire_client_dials_total", "connections established (first dial and reconnects)", nil),
-		Errors:     reg.Counter("phiwire_client_errors_total", "transport-level request failures", nil),
-		RTTSeconds: reg.Histogram("phiwire_client_rtt_seconds", "request round-trip latency", nil),
 	}
 }

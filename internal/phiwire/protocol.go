@@ -248,6 +248,43 @@ func encodeReport(msgType byte, path phi.PathKey, r phi.Report) ([]byte, error) 
 	return b, nil
 }
 
+// encodeOp builds the request frame payload of a backend operation.
+func encodeOp(op phi.Op) ([]byte, error) {
+	switch op.Kind {
+	case phi.OpLookup:
+		return encodeLookup(op.Path)
+	case phi.OpReportStart:
+		return encodeReportStart(op.Path)
+	case phi.OpReportEnd:
+		return encodeReport(MsgReportEnd, op.Path, op.Report)
+	default:
+		return encodeReport(MsgProgress, op.Path, op.Report)
+	}
+}
+
+// decodeOp parses the body of one of the four backend request types
+// (after the type byte and any trace header). On error op.Kind is still
+// set, so the caller can say which request was malformed.
+func decodeOp(typ byte, body []byte) (op phi.Op, err error) {
+	switch typ {
+	case MsgLookup, MsgReportStart:
+		op.Kind = phi.OpLookup
+		if typ == MsgReportStart {
+			op.Kind = phi.OpReportStart
+		}
+		var path string
+		path, _, err = readString(body)
+		op.Path = phi.PathKey(path)
+	default:
+		op.Kind = phi.OpReportEnd
+		if typ == MsgProgress {
+			op.Kind = phi.OpReportProgress
+		}
+		op.Path, op.Report, err = decodeReportEnd(body)
+	}
+	return op, err
+}
+
 // encodeContext builds a context response.
 func encodeContext(c phi.Context) []byte {
 	b := appendFloat([]byte{MsgContext}, c.U)

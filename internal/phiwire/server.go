@@ -37,14 +37,26 @@ type TracedBackend interface {
 	ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error
 }
 
-// Server-side span names.
+// Server-side span names; those of the four backend operations by
+// phi.OpKind.
 var (
-	opServerLookup   = trace.Name("server.lookup")
-	opServerStart    = trace.Name("server.report_start")
-	opServerEnd      = trace.Name("server.report_end")
-	opServerProgress = trace.Name("server.report_progress")
-	opServerPolicy   = trace.Name("server.get_policy")
+	serverOpNames = [...]trace.Ref{
+		phi.OpLookup:         trace.Name("server.lookup"),
+		phi.OpReportStart:    trace.Name("server.report_start"),
+		phi.OpReportEnd:      trace.Name("server.report_end"),
+		phi.OpReportProgress: trace.Name("server.report_progress"),
+	}
+	opServerPolicy = trace.Name("server.get_policy")
 )
+
+// malformedOp is the error text answering a request body that does not
+// parse, by phi.OpKind.
+var malformedOp = [...]string{
+	phi.OpLookup:         "malformed lookup",
+	phi.OpReportStart:    "malformed report-start",
+	phi.OpReportEnd:      "malformed report",
+	phi.OpReportProgress: "malformed report",
+}
 
 // Server-side sub-span stage names for the /debug/stages decomposition
 // (measured only when a StageAggregator is attached; see
@@ -285,8 +297,7 @@ func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
 		d0 = time.Now()
 	}
 	if len(payload) == 0 {
-		s.bumpRejected()
-		return encodeError("empty frame"), 0
+		return s.reject("empty frame")
 	}
 	typ, body := payload[0], payload[1:]
 	// Requests (high bit clear) may carry a trace header; peel it off
@@ -297,168 +308,68 @@ func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
 		var err error
 		sc, body, err = readSpanContext(body)
 		if err != nil {
-			s.bumpRejected()
-			return encodeError("malformed trace header"), 0
+			return s.reject("malformed trace header")
 		}
 		typ &^= TraceFlag
 	}
 	switch typ {
 	case MsgHello:
 		if _, _, err := decodeHello(body); err != nil {
-			s.bumpRejected()
-			return encodeError("malformed hello"), 0
+			return s.reject("malformed hello")
 		}
-		s.bumpHandled()
+		s.handled.Add(1)
 		return encodeHello(MsgHelloAck, ProtocolVersion, CapTrace), 0
-	case MsgLookup:
-		path, _, err := readString(body)
-		if err != nil {
-			s.bumpRejected()
-			return encodeError("malformed lookup"), 0
-		}
-		if len(path) > MaxPathLen {
-			s.bumpRejected()
-			return encodeError("path key too long"), 0
-		}
-		if st != nil {
-			st.Observe(stServerDecode, time.Since(d0))
-		}
-		sp := s.startSpan(sc, opServerLookup)
-		ctx, err := s.backendLookup(sp.Context(), phi.PathKey(path))
-		sp.End(err)
-		if err != nil {
-			return s.encodeBackendError(err), sp.Context().Trace
-		}
-		s.bumpHandled()
-		if m != nil {
-			m.Lookups.Inc()
-		}
-		// Hand the monitor the trace-evidence pointer: the last trace ID
-		// seen per slice is what gets marked interesting on an anomaly.
-		s.health.RecordTrace(path, uint64(sp.Context().Trace))
-		return encodeContext(ctx), sp.Context().Trace
-	case MsgReportStart:
-		path, _, err := readString(body)
-		if err != nil {
-			s.bumpRejected()
-			return encodeError("malformed report-start"), 0
-		}
-		if len(path) > MaxPathLen {
-			s.bumpRejected()
-			return encodeError("path key too long"), 0
-		}
-		if st != nil {
-			st.Observe(stServerDecode, time.Since(d0))
-		}
-		sp := s.startSpan(sc, opServerStart)
-		err = s.backendReportStart(sp.Context(), phi.PathKey(path))
-		sp.End(err)
-		if err != nil {
-			return s.encodeBackendError(err), sp.Context().Trace
-		}
-		s.bumpHandled()
-		if m != nil {
-			m.Starts.Inc()
-		}
-		return []byte{MsgOK}, sp.Context().Trace
 	case MsgGetPolicy:
 		s.mu.Lock()
 		policy := s.policy
 		s.mu.Unlock()
-		sp := s.startSpan(sc, opServerPolicy)
+		sp := s.tracer.StartRemote(sc, opServerPolicy)
 		if policy == nil {
 			err := errors.New("no policy published")
 			sp.End(err)
 			return s.encodeBackendError(err), sp.Context().Trace
 		}
 		sp.End(nil)
-		s.bumpHandled()
+		s.handled.Add(1)
 		if m != nil {
 			m.Policies.Inc()
 		}
 		return append([]byte{MsgPolicy}, policy...), sp.Context().Trace
-	case MsgReportEnd, MsgProgress:
-		path, report, err := decodeReportEnd(body)
+	case MsgLookup, MsgReportStart, MsgReportEnd, MsgProgress:
+		// The one arm that calls the backend.
+		op, err := decodeOp(typ, body)
 		if err != nil {
-			s.bumpRejected()
-			return encodeError("malformed report"), 0
+			return s.reject(malformedOp[op.Kind])
 		}
-		if len(path) > MaxPathLen {
-			s.bumpRejected()
-			return encodeError("path key too long"), 0
+		if len(op.Path) > MaxPathLen {
+			return s.reject("path key too long")
 		}
 		if st != nil {
 			st.Observe(stServerDecode, time.Since(d0))
 		}
-		name := opServerEnd
-		if typ == MsgProgress {
-			name = opServerProgress
+		// The handling span joins the wire trace when the client sent
+		// one and starts a server-local trace otherwise.
+		sp := s.tracer.StartRemote(sc, serverOpNames[op.Kind])
+		ctx, err := op.Do(sp.Context(), s.backend, s.tbackend)
+		sp.End(err)
+		tid := sp.Context().Trace
+		if err != nil {
+			return s.encodeBackendError(err), tid
 		}
-		sp := s.startSpan(sc, name)
-		var herr error
-		if typ == MsgProgress {
-			herr = s.backendReportProgress(sp.Context(), path, report)
-		} else {
-			herr = s.backendReportEnd(sp.Context(), path, report)
-		}
-		sp.End(herr)
-		if herr != nil {
-			return s.encodeBackendError(herr), sp.Context().Trace
-		}
-		s.bumpHandled()
+		s.handled.Add(1)
 		if m != nil {
-			if typ == MsgProgress {
-				m.Progresses.Inc()
-			} else {
-				m.Ends.Inc()
-			}
+			m.Requests[op.Kind].Inc()
 		}
-		return []byte{MsgOK}, sp.Context().Trace
+		if op.Kind != phi.OpLookup {
+			return []byte{MsgOK}, tid
+		}
+		// Hand the monitor the trace-evidence pointer: the last trace ID
+		// seen per slice is what gets marked interesting on an anomaly.
+		s.health.RecordTrace(string(op.Path), uint64(tid))
+		return encodeContext(ctx), tid
 	default:
-		s.bumpRejected()
-		return encodeError("unknown message type"), 0
+		return s.reject("unknown message type")
 	}
-}
-
-// startSpan opens the handling span for a request: joining the wire
-// trace when the client sent one, starting a server-local trace
-// otherwise. With no tracer it returns a no-op span.
-func (s *Server) startSpan(sc trace.SpanContext, name trace.Ref) trace.Span {
-	if sc.Valid() {
-		return s.tracer.StartRemote(sc, name)
-	}
-	return s.tracer.Start(trace.SpanContext{}, name)
-}
-
-// backendLookup and friends dispatch to the traced backend facet when
-// both a traced backend and a live span context exist, and to the plain
-// Backend methods otherwise.
-func (s *Server) backendLookup(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	if s.tbackend != nil && sc.Valid() {
-		return s.tbackend.LookupSpan(sc, path)
-	}
-	return s.backend.Lookup(path)
-}
-
-func (s *Server) backendReportStart(sc trace.SpanContext, path phi.PathKey) error {
-	if s.tbackend != nil && sc.Valid() {
-		return s.tbackend.ReportStartSpan(sc, path)
-	}
-	return s.backend.ReportStart(path)
-}
-
-func (s *Server) backendReportEnd(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	if s.tbackend != nil && sc.Valid() {
-		return s.tbackend.ReportEndSpan(sc, path, r)
-	}
-	return s.backend.ReportEnd(path, r)
-}
-
-func (s *Server) backendReportProgress(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	if s.tbackend != nil && sc.Valid() {
-		return s.tbackend.ReportProgressSpan(sc, path, r)
-	}
-	return s.backend.ReportProgress(path, r)
 }
 
 // encodeBackendError counts and encodes an application-level error (the
@@ -471,13 +382,14 @@ func (s *Server) encodeBackendError(err error) []byte {
 	return encodeError(err.Error())
 }
 
-func (s *Server) bumpHandled() { s.handled.Add(1) }
-
-func (s *Server) bumpRejected() {
+// reject counts a malformed or unknown frame and encodes the error
+// frame that answers it; such a frame belongs to no trace.
+func (s *Server) reject(msg string) ([]byte, trace.TraceID) {
 	s.rejected.Add(1)
 	if m := s.metrics; m != nil {
 		m.Rejected.Inc()
 	}
+	return encodeError(msg), 0
 }
 
 // Stats returns handled/rejected counters. It is safe to call while the

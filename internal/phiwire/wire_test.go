@@ -427,16 +427,16 @@ func TestDecodeTruncatedPayloads(t *testing.T) {
 }
 
 func TestWireServerErrorResponsePath(t *testing.T) {
-	// A client issuing a lookup against a server whose response is an
-	// error must surface it (exercised via expectOK on a lookup reply).
+	// A client whose request the server answers with an error frame must
+	// surface it.
 	_, _, addr := startServer(t)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// ReportStart with malformed body yields MsgError; a client that sent
-	// it via expectOK would see the error. Simulate by raw frames.
+	// ReportStart with malformed body yields MsgError; the client cannot
+	// encode one, so simulate by raw frames.
 	if err := writeFrame(conn, []byte{MsgReportStart}); err != nil {
 		t.Fatal(err)
 	}

@@ -193,6 +193,38 @@ func TestStalestRanking(t *testing.T) {
 	}
 }
 
+// A path that lives on its home shard and (via report mirroring) its
+// fallback is enumerated by two sources; it is still one path, with the
+// fresher evidence of each source.
+func TestStalestDeduplicatesAcrossSources(t *testing.T) {
+	tr := New(Config{})
+	tr.AddPathSource(func() []PathFreshness {
+		return []PathFreshness{
+			{Path: "mirrored", AgeActiveNs: 30e9, AgePassiveNs: -1},
+			{Path: "home-only", AgeActiveNs: 5e9, AgePassiveNs: -1},
+		}
+	})
+	tr.AddPathSource(func() []PathFreshness {
+		return []PathFreshness{{Path: "mirrored", AgeActiveNs: 10e9, AgePassiveNs: 70e9}}
+	})
+	snap := tr.Snapshot()
+	if snap.TrackedPaths != 2 {
+		t.Errorf("tracked = %d, want 2 (one path on two shards is one path)", snap.TrackedPaths)
+	}
+	want := []StalePath{
+		{Path: "mirrored", AgeActiveS: 10, AgePassiveS: 70},
+		{Path: "home-only", AgeActiveS: 5, AgePassiveS: -1},
+	}
+	if len(snap.StalestPaths) != len(want) {
+		t.Fatalf("stalest = %+v, want %+v", snap.StalestPaths, want)
+	}
+	for i, w := range want {
+		if snap.StalestPaths[i] != w {
+			t.Errorf("stalest[%d] = %+v, want %+v", i, snap.StalestPaths[i], w)
+		}
+	}
+}
+
 func TestHandlerJSONAndText(t *testing.T) {
 	tr := New(Config{})
 	tr.ObserveLookup("p", OutcomeFresh, 5e8, -1, 40e6, 0, true)

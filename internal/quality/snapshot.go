@@ -161,33 +161,37 @@ func (t *Tracker) Snapshot() Snapshot {
 
 // stalest polls every path source and ranks paths by the age of their
 // newest evidence from any source (paths with no evidence at all rank
-// stalest), returning the worst TopK and the total path count.
+// stalest), returning the worst TopK and the total path count. A path
+// several sources enumerate — its home shard and, through report
+// mirroring, its fallback — is one path, with the fresher age of each
+// evidence source.
 func (t *Tracker) stalest() ([]StalePath, int) {
 	t.srcMu.Lock()
 	sources := append([]func() []PathFreshness(nil), t.sources...)
 	t.srcMu.Unlock()
 	var all []PathFreshness
+	seen := make(map[string]int) // path -> index in all
 	for _, fn := range sources {
-		all = append(all, fn()...)
+		for _, p := range fn() {
+			i, dup := seen[p.Path]
+			if !dup {
+				seen[p.Path] = len(all)
+				all = append(all, p)
+				continue
+			}
+			all[i].AgeActiveNs = fresherAge(all[i].AgeActiveNs, p.AgeActiveNs)
+			all[i].AgePassiveNs = fresherAge(all[i].AgePassiveNs, p.AgePassiveNs)
+		}
 	}
 	if len(all) == 0 {
 		return nil, 0
 	}
 	freshest := func(p PathFreshness) int64 {
-		// The newest evidence is the smaller of the two ages; a source
-		// that never reported contributes nothing.
-		switch {
-		case p.AgeActiveNs < 0 && p.AgePassiveNs < 0:
-			return int64(^uint64(0) >> 1) // never updated: stalest possible
-		case p.AgeActiveNs < 0:
-			return p.AgePassiveNs
-		case p.AgePassiveNs < 0:
-			return p.AgeActiveNs
-		case p.AgeActiveNs < p.AgePassiveNs:
-			return p.AgeActiveNs
-		default:
-			return p.AgePassiveNs
+		// The newest evidence is the fresher of the two ages.
+		if age := fresherAge(p.AgeActiveNs, p.AgePassiveNs); age >= 0 {
+			return age
 		}
+		return int64(^uint64(0) >> 1) // never updated: stalest possible
 	}
 	sort.Slice(all, func(i, j int) bool { return freshest(all[i]) > freshest(all[j]) })
 	k := t.cfg.TopK
@@ -203,6 +207,16 @@ func (t *Tracker) stalest() ([]StalePath, int) {
 		}
 	}
 	return out, len(all)
+}
+
+// fresherAge is the smaller of two evidence ages, where a negative age
+// means never updated and so contributes nothing; negative when both
+// are.
+func fresherAge(a, b int64) int64 {
+	if a < 0 || (b >= 0 && b < a) {
+		return b
+	}
+	return a
 }
 
 func ageSeconds(ns int64) float64 {
