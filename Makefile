@@ -111,7 +111,7 @@ bench-smoke:
 # Short fuzzing burst over the phiwire and ipfix codec fuzzers (CI runs
 # this on every push; crank -fuzztime locally for a real campaign).
 fuzz-smoke:
-	for target in FuzzHandle FuzzDecodeReportEnd FuzzReadFrame FuzzReadString; do \
+	for target in FuzzHandle FuzzDecodeReportEnd FuzzReadFrame FuzzFrameStream FuzzReadString; do \
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=10s ./internal/phiwire || exit 1; \
 	done
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeIPFIX$$' -fuzztime=10s ./internal/ipfix

@@ -343,7 +343,10 @@ func (s *Server) report(path PathKey, r Report, end bool) {
 	now := s.clock()
 	st := s.state(path, now)
 	if end && len(st.starts) > 0 {
-		st.starts = st.starts[1:]
+		// Copy down in place, as expireActives does: slicing the front
+		// off would give capacity away, and the next reportStart's append
+		// would reallocate.
+		st.starts = append(st.starts[:0], st.starts[1:]...)
 	}
 	if weight > 0 {
 		bytes := r.Bytes

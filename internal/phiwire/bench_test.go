@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/phi"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 var benchReport = phi.Report{
@@ -20,31 +21,29 @@ var benchReport = phi.Report{
 }
 
 func BenchmarkEncodeLookup(b *testing.B) {
+	var wbuf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeLookup("us-east/eu-west"); err != nil {
-			b.Fatal(err)
-		}
+		wbuf = appendOp(wbuf, trace.SpanContext{}, phi.Op{Kind: phi.OpLookup, Path: "us-east/eu-west"})
 	}
 }
 
 func BenchmarkEncodeReportEnd(b *testing.B) {
+	var wbuf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeReport(MsgReportEnd, "us-east/eu-west", benchReport); err != nil {
-			b.Fatal(err)
-		}
+		wbuf = appendOp(wbuf, trace.SpanContext{}, phi.Op{Kind: phi.OpReportEnd, Path: "us-east/eu-west", Report: benchReport})
 	}
 }
 
+// BenchmarkDecodeReportEnd decodes one path over and over, so after the
+// first iteration it measures the memo hit.
 func BenchmarkDecodeReportEnd(b *testing.B) {
-	payload, err := encodeReport(MsgReportEnd, "us-east/eu-west", benchReport)
-	if err != nil {
-		b.Fatal(err)
-	}
+	payload := appendOp(nil, trace.SpanContext{}, phi.Op{Kind: phi.OpReportEnd, Path: "us-east/eu-west", Report: benchReport})[5:]
+	var last phi.PathKey
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeReportEnd(payload[1:]); err != nil {
+		if _, err := decodeOp(MsgReportEnd, payload, &last); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,30 +51,31 @@ func BenchmarkDecodeReportEnd(b *testing.B) {
 
 func BenchmarkEncodeDecodeContext(b *testing.B) {
 	ctx := phi.Context{U: 0.73, Q: 9 * sim.Millisecond, N: 17}
+	var wbuf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		payload := encodeContext(ctx)
-		if _, err := decodeContext(payload[1:]); err != nil {
+		wbuf = appendContext(wbuf, ctx)
+		if _, err := decodeContext(wbuf[5:]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkServerHandleLookup measures the server's whole in-process
-// request path (decode + backend + encode), uninstrumented.
+// request path (decode + backend + encode) as serveConn drives it — one
+// response buffer and one path memo across requests — uninstrumented.
 func BenchmarkServerHandleLookup(b *testing.B) {
 	backend := phi.NewServer(func() sim.Time { return sim.Time(time.Now().UnixNano()) }, phi.ServerConfig{})
 	srv := NewServer(backend, nil)
-	req, err := encodeLookup("bench-path")
-	if err != nil {
-		b.Fatal(err)
-	}
+	req := appendOp(nil, trace.SpanContext{}, phi.Op{Kind: phi.OpLookup, Path: "bench-path"})[4:]
+	var wbuf []byte
+	var last phi.PathKey
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, _ := srv.handle(req)
-		if resp[0] != MsgContext {
-			b.Fatalf("resp type %x", resp[0])
+		wbuf, _ = srv.handle(req, wbuf, &last)
+		if wbuf[4] != MsgContext {
+			b.Fatalf("resp type %x", wbuf[4])
 		}
 	}
 }

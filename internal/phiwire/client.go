@@ -74,10 +74,13 @@ type Client struct {
 	conn   net.Conn
 	closed bool
 
-	// wbuf is the frame-serialization scratch buffer, reused across
-	// requests so each frame goes out in one Write without a per-request
-	// allocation. Guarded by mu.
+	// wbuf is the buffer requests are encoded into in place, reused so
+	// each frame goes out in one Write without a per-request allocation;
+	// fr is the connection's frame reader, whose one buffer replies are
+	// decoded from in place. A reply aliases that buffer, so it is decoded
+	// before mu is released. Both guarded by mu.
 	wbuf []byte
+	fr   frameReader
 
 	// connTraced records whether the current connection's peer
 	// acknowledged CapTrace in the Hello exchange; only then do request
@@ -127,53 +130,55 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// roundTrip sends one request and reads one response, holding the
-// connection lock for the duration (requests are small; the protocol is
-// strictly request/response). Every failure path closes and forgets the
-// connection before returning, so repeated failures churn through at
-// most one live connection.
-func (c *Client) roundTrip(sc trace.SpanContext, req []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// connect makes the connection ready for one exchange (mu held): it
+// dials and negotiates if there is none, as a client.dial span under sc,
+// and arms the per-request deadline. A fresh connection resets the frame
+// reader, so bytes of a dropped connection can never be parsed as the
+// next one's reply. Every failure path closes and forgets the connection
+// before returning, so repeated failures churn through at most one live
+// connection.
+func (c *Client) connect(sc trace.SpanContext) error {
 	if c.closed {
-		return nil, net.ErrClosed
+		return net.ErrClosed
 	}
 	if c.conn == nil {
 		dsp := c.tracer.Start(sc, opClientDial)
 		conn, err := c.dial(c.addr, c.timeout)
 		if err != nil {
 			dsp.End(err)
-			return nil, err
+			return err
 		}
 		c.conn = obs.CountConn(conn, c.wire)
+		c.fr.reset(c.conn)
 		if c.tracer != nil {
 			if err := c.negotiate(); err != nil {
 				dsp.End(err)
 				c.drop()
-				return nil, err
+				return err
 			}
 		}
 		dsp.End(nil)
 	}
-	deadline := time.Now().Add(c.timeout)
-	if err := c.conn.SetDeadline(deadline); err != nil {
+	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		c.drop()
-		return nil, err
+		return err
 	}
+	return nil
+}
+
+// exchange writes the request frame built in c.wbuf and reads the one
+// response (mu held; requests are small and the protocol is strictly
+// request/response). The payload it returns aliases the read buffer:
+// decode it before releasing mu.
+func (c *Client) exchange() ([]byte, error) {
 	st := c.tracer.Stages()
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	var werr error
-	if c.connTraced && sc.Valid() && len(req) > 0 && req[0]&0x80 == 0 {
-		werr = writeTracedFrameBuf(c.conn, req, sc, &c.wbuf)
-	} else {
-		werr = writeFrameBuf(c.conn, req, &c.wbuf)
-	}
-	if werr != nil {
+	if err := flushFrame(c.conn, c.wbuf); err != nil {
 		c.drop()
-		return nil, werr
+		return nil, err
 	}
 	c.wire.FrameWritten()
 	if st != nil {
@@ -181,7 +186,7 @@ func (c *Client) roundTrip(sc trace.SpanContext, req []byte) ([]byte, error) {
 		st.Observe(stClientWrite, now.Sub(t0))
 		t0 = now
 	}
-	resp, err := readFrame(c.conn)
+	resp, err := c.fr.next()
 	if err != nil {
 		c.drop()
 		return nil, err
@@ -202,22 +207,16 @@ func (c *Client) negotiate() error {
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return err
 	}
-	if err := writeFrameBuf(c.conn, encodeHello(MsgHello, ProtocolVersion, CapTrace), &c.wbuf); err != nil {
-		return err
-	}
-	c.wire.FrameWritten()
-	resp, err := readFrame(c.conn)
+	c.wbuf = appendHello(c.wbuf, MsgHello, ProtocolVersion, CapTrace)
+	resp, err := c.exchange()
 	if err != nil {
 		return err
 	}
-	c.wire.FrameRead()
-	if len(resp) > 0 && resp[0] == MsgHelloAck {
-		if _, caps, derr := decodeHello(resp[1:]); derr == nil && caps&CapTrace != 0 {
-			c.connTraced = true
-			return nil
-		}
-	}
 	c.connTraced = false
+	if len(resp) > 0 && resp[0] == MsgHelloAck {
+		_, caps, derr := decodeHello(resp[1:])
+		c.connTraced = derr == nil && caps&CapTrace != 0
+	}
 	return nil
 }
 
@@ -244,24 +243,16 @@ func errFromResponse(resp []byte) error {
 	return ServerError(msg)
 }
 
-// do is the client's one body: encode op, open the client span, one
-// round trip, decode the answer the operation expects (a context for a
-// lookup, an OK for a report). The span it records (and propagates on
-// the wire) is a child of parent. With no tracer attached, the parent
-// context itself is forwarded, so an untraced relay still preserves the
-// caller's trace across processes.
+// do is the client's one body: open the client span, encode op into the
+// connection's write buffer, one exchange, decode the answer the
+// operation expects (a context for a lookup, an OK for a report). The
+// span it records (and propagates on the wire, once the peer has
+// acknowledged CapTrace) is a child of parent. With no tracer attached,
+// the parent context itself is forwarded, so an untraced relay still
+// preserves the caller's trace across processes.
 func (c *Client) do(parent trace.SpanContext, op phi.Op) (phi.Context, error) {
-	st := c.tracer.Stages()
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	req, err := encodeOp(op)
-	if st != nil {
-		st.Observe(stClientEncode, time.Since(t0))
-	}
-	if err != nil {
-		return phi.Context{}, err
+	if len(op.Path) > MaxPathLen {
+		return phi.Context{}, errPathTooLong
 	}
 	sp := c.tracer.Start(parent, clientOpNames[op.Kind])
 	// On the wire goes the client's own span when it has a tracer, the
@@ -270,25 +261,44 @@ func (c *Client) do(parent trace.SpanContext, op phi.Op) (phi.Context, error) {
 	if !sc.Valid() {
 		sc = parent
 	}
-	resp, err := c.roundTrip(sc, req)
+	c.mu.Lock()
+	ctx, err := c.doLocked(sc, op)
+	c.mu.Unlock()
+	sp.End(err)
+	return ctx, err
+}
+
+// doLocked is do's critical section (mu held): everything that touches
+// the connection and its two buffers, the reply's decode included.
+func (c *Client) doLocked(sc trace.SpanContext, op phi.Op) (phi.Context, error) {
+	if err := c.connect(sc); err != nil {
+		return phi.Context{}, err
+	}
+	if !c.connTraced {
+		sc = trace.SpanContext{}
+	}
+	st := c.tracer.Stages()
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	c.wbuf = appendOp(c.wbuf, sc, op)
+	if st != nil {
+		st.Observe(stClientEncode, time.Since(t0))
+	}
+	resp, err := c.exchange()
 	if err == nil {
 		err = errFromResponse(resp)
 	}
-	var ctx phi.Context
-	if err == nil {
-		switch {
-		case op.Kind != phi.OpLookup:
-			if resp[0] != MsgOK {
-				err = ErrMalformed
-			}
-		case resp[0] != MsgContext:
-			err = ErrMalformed
-		default:
-			ctx, err = decodeContext(resp[1:])
-		}
+	switch {
+	case err != nil:
+		return phi.Context{}, err
+	case op.Kind == phi.OpLookup && resp[0] == MsgContext:
+		return decodeContext(resp[1:])
+	case op.Kind != phi.OpLookup && resp[0] == MsgOK:
+		return phi.Context{}, nil
 	}
-	sp.End(err)
-	return ctx, err
+	return phi.Context{}, ErrMalformed
 }
 
 // Lookup implements phi.ContextSource.
@@ -339,7 +349,13 @@ func (c *Client) ReportProgressSpan(parent trace.SpanContext, path phi.PathKey, 
 // freshly booted sender needs to be configured with nothing but the
 // context server's address.
 func (c *Client) FetchPolicy() (*phi.Policy, error) {
-	resp, err := c.roundTrip(trace.SpanContext{}, []byte{MsgGetPolicy})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.connect(trace.SpanContext{}); err != nil {
+		return nil, err
+	}
+	c.wbuf = beginFrame(c.wbuf, MsgGetPolicy, trace.SpanContext{})
+	resp, err := c.exchange()
 	if err != nil {
 		return nil, err
 	}
@@ -349,6 +365,8 @@ func (c *Client) FetchPolicy() (*phi.Policy, error) {
 	if resp[0] != MsgPolicy {
 		return nil, ErrMalformed
 	}
+	// Unmarshal copies what it keeps, so nothing of the read buffer
+	// outlives the lock.
 	var p phi.Policy
 	if err := json.Unmarshal(resp[1:], &p); err != nil {
 		return nil, fmt.Errorf("phiwire: bad policy payload: %w", err)

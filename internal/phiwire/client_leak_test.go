@@ -7,6 +7,7 @@ package phiwire
 import (
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,4 +137,97 @@ func TestClientServerErrorKeepsConnection(t *testing.T) {
 	if d.opened.Load() != 1 {
 		t.Errorf("server errors churned connections: %d dials, want 1", d.opened.Load())
 	}
+}
+
+// TestClientStaleReplyNeverCrossesReconnect: a reply arrives half-written,
+// the deadline fires, and the client drops the connection with half a
+// frame in its read buffer. The next call dials again and must get its
+// own reply — the buffered bytes of the dead connection are forgotten,
+// not parsed as the start of the new connection's stream.
+func TestClientStaleReplyNeverCrossesReconnect(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	defer close(release)
+	stale := mustFrame(t, encodeContext(phi.Context{U: 0.25, Q: 1, N: 111}))
+	go func() {
+		for n := 0; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(n int) {
+				defer conn.Close()
+				if _, err := readFrame(conn); err != nil {
+					return
+				}
+				if n == 0 {
+					// Header and 5 of the context's 25 bytes, then silence.
+					conn.Write(stale[:9])
+					<-release
+					return
+				}
+				writeFrame(conn, encodeContext(phi.Context{U: 0.5, Q: 2, N: 222}))
+				<-release
+			}(n)
+		}
+	}()
+
+	c := Dial(ln.Addr().String(), 100*time.Millisecond)
+	defer c.Close()
+	var ne net.Error
+	if _, err := c.Lookup("p"); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("half-written reply: err = %v, want a timeout", err)
+	}
+	ctx, err := c.Lookup("p")
+	if err != nil {
+		t.Fatalf("lookup on the re-dialled connection: %v", err)
+	}
+	if ctx != (phi.Context{U: 0.5, Q: 2, N: 222}) {
+		t.Fatalf("re-dialled connection decoded %+v, want its own reply (N 222)", ctx)
+	}
+}
+
+// TestSharedClientConcurrentCalls: two goroutines share one Client, and
+// with it one write buffer and one read buffer. Each call decodes its
+// reply before releasing the lock, so each goroutine must only ever see
+// the context of the path it asked for. Run with -race -count=10.
+func TestSharedClientConcurrentCalls(t *testing.T) {
+	_, backend, addr := startServer(t)
+	c := Dial(addr, 2*time.Second)
+	defer c.Close()
+	paths := []phi.PathKey{"shared/one", "shared/two"}
+	for i, p := range paths {
+		for j := 0; j <= i; j++ { // path i carries i+1 active senders
+			if err := backend.ReportStart(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for i, p := range paths {
+		wg.Add(1)
+		go func(want int, p phi.PathKey) {
+			defer wg.Done()
+			for j := 0; j < 300; j++ {
+				ctx, err := c.Lookup(p)
+				if err != nil {
+					t.Errorf("lookup %s: %v", p, err)
+					return
+				}
+				if ctx.N != want {
+					t.Errorf("lookup %s: N = %d, want %d (another call's reply)", p, ctx.N, want)
+					return
+				}
+				if err := c.ReportProgress(p, phi.Report{Bytes: 1}); err != nil {
+					t.Errorf("progress %s: %v", p, err)
+					return
+				}
+			}
+		}(i+1, p)
+	}
+	wg.Wait()
 }

@@ -13,6 +13,17 @@
 // Requests carry a path key; responses carry either a context, an OK, or
 // an error string. One request yields exactly one response, in order, so
 // a single connection may be shared by a mutex-holding client.
+//
+// The codec is per connection, not per frame, and allocates nothing in
+// steady state. Each end owns one frameReader, whose single reused buffer
+// takes whatever one Read delivers and hands out every complete frame in
+// it as a sub-slice, and one write buffer into which a frame is appended
+// in place (beginFrame, the body, flushFrame patching the length) and
+// written with one Write. A payload therefore aliases the read buffer
+// and is valid only until the next frame is asked for: whoever needs
+// bytes beyond that copies them — the server's decode copies the path
+// (once, and not at all when it repeats the connection's previous one),
+// the client decodes its reply before releasing its lock.
 package phiwire
 
 import (
@@ -75,47 +86,103 @@ var (
 	ErrMalformed     = errors.New("phiwire: malformed message")
 )
 
-// writeFrame writes a length-prefixed payload as a single Write. This
-// convenience form allocates its own buffer; hot paths hold a reusable
-// scratch buffer across frames and call writeFrameBuf directly.
-func writeFrame(w io.Writer, payload []byte) error {
-	var scratch []byte
-	return writeFrameBuf(w, payload, &scratch)
+// readBufSize is a frameReader's starting buffer: room for a burst of
+// protocol frames (tens of bytes each) or one frame with a MaxPathLen
+// path.
+const readBufSize = 4096
+
+// frameReader decodes the length-prefixed frames of one connection
+// through one reused buffer. buf[off:end] holds bytes read and not yet
+// handed out; the buffer grows only to fit a frame, so never beyond
+// MaxFrame+4.
+type frameReader struct {
+	r        io.Reader
+	buf      []byte
+	off, end int
 }
 
-// writeFrameBuf serializes the 4-byte length header and the payload into
-// *scratch (grown on demand, reused across calls) and hands the whole
-// frame to the writer in ONE Write — one syscall on a raw connection,
-// where a header write followed by a payload write cost two. Per-frame
-// syscalls dominate the wire layer's cost at the saturation knee, so the
-// copy (tens of bytes for protocol frames) buys half the syscalls.
-func writeFrameBuf(w io.Writer, payload []byte, scratch *[]byte) error {
-	if len(payload) > MaxFrame {
+// reset points the reader at a new connection and forgets anything
+// buffered from the previous one.
+func (fr *frameReader) reset(r io.Reader) {
+	fr.r, fr.off, fr.end = r, 0, 0
+}
+
+// next returns the next frame's payload: a sub-slice of the buffer,
+// valid until the next call. It issues one Read for whatever has arrived
+// only when the buffer holds no complete frame, so a burst of frames
+// costs one Read. An oversized length is rejected before any of its
+// payload is buffered. At end of stream the error is io.EOF on a frame
+// boundary and io.ErrUnexpectedEOF inside a frame.
+func (fr *frameReader) next() ([]byte, error) {
+	for {
+		need := 4
+		if fr.end-fr.off >= 4 {
+			n := binary.BigEndian.Uint32(fr.buf[fr.off:])
+			if n > MaxFrame {
+				return nil, ErrFrameTooLarge
+			}
+			need += int(n)
+			if fr.end-fr.off >= need {
+				payload := fr.buf[fr.off+4 : fr.off+need]
+				fr.off += need
+				return payload, nil
+			}
+		}
+		fr.fit(need)
+		n, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += n
+		if n == 0 && err != nil {
+			if err == io.EOF && fr.end > fr.off {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+}
+
+// fit makes room for a frame of need bytes starting at off, with space
+// to read into: the unread tail is copied down in place only when the
+// frame would not fit behind it, and the buffer is replaced only when
+// the frame is larger than the whole of it.
+func (fr *frameReader) fit(need int) {
+	if fr.off == fr.end {
+		fr.off, fr.end = 0, 0
+	}
+	if fr.off+need <= len(fr.buf) {
+		return
+	}
+	tail := fr.buf[fr.off:fr.end]
+	if need > len(fr.buf) {
+		fr.buf = make([]byte, max(need, readBufSize))
+	}
+	fr.end = copy(fr.buf, tail)
+	fr.off = 0
+}
+
+// beginFrame starts a frame in b, reusing its storage: the length
+// placeholder, the type byte and, when sc is valid, TraceFlag on the
+// type byte and the span context after it. The caller appends the body
+// and hands the result to flushFrame.
+func beginFrame(b []byte, typ byte, sc trace.SpanContext) []byte {
+	if !sc.Valid() {
+		return append(b[:0], 0, 0, 0, 0, typ)
+	}
+	b = append(b[:0], 0, 0, 0, 0, typ|TraceFlag)
+	b = binary.BigEndian.AppendUint64(b, uint64(sc.Trace))
+	return binary.BigEndian.AppendUint64(b, uint64(sc.Span))
+}
+
+// flushFrame patches the length header of the frame built in b and hands
+// the whole frame to the writer in ONE Write — one syscall on a raw
+// connection, where a header write followed by a payload write cost two.
+func flushFrame(w io.Writer, b []byte) error {
+	n := len(b) - 4
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	b := append((*scratch)[:0], 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	*scratch = b
+	binary.BigEndian.PutUint32(b, uint32(n))
 	_, err := w.Write(b)
 	return err
-}
-
-// readFrame reads one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
 }
 
 func appendString(b []byte, s string) []byte {
@@ -123,16 +190,23 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func readString(b []byte) (string, []byte, error) {
+// readBytes parses a length-prefixed string without copying it: the
+// result aliases b.
+func readBytes(b []byte) (s, rest []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, ErrMalformed
+		return nil, nil, ErrMalformed
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	if len(b) < n {
-		return "", nil, ErrMalformed
+		return nil, nil, ErrMalformed
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
+}
+
+func readString(b []byte) (string, []byte, error) {
+	s, rest, err := readBytes(b)
+	return string(s), rest, err
 }
 
 func appendFloat(b []byte, f float64) []byte {
@@ -157,10 +231,10 @@ func readInt64(b []byte) (int64, []byte, error) {
 	return int64(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
-// encodeHello builds a Hello (or HelloAck) frame: version then
+// appendHello builds a Hello (or HelloAck) frame in b: version then
 // capability bits.
-func encodeHello(msgType byte, version uint16, caps uint32) []byte {
-	b := binary.BigEndian.AppendUint16([]byte{msgType}, version)
+func appendHello(b []byte, msgType byte, version uint16, caps uint32) []byte {
+	b = binary.BigEndian.AppendUint16(beginFrame(b, msgType, trace.SpanContext{}), version)
 	return binary.BigEndian.AppendUint32(b, caps)
 }
 
@@ -188,117 +262,101 @@ func readSpanContext(b []byte) (trace.SpanContext, []byte, error) {
 	return sc, b[traceHeaderLen:], nil
 }
 
-// writeTracedFrame writes payload as a traced frame: the type byte gains
-// TraceFlag and the span context is spliced in after it. Convenience
-// form of writeTracedFrameBuf with a throwaway buffer.
-func writeTracedFrame(w io.Writer, payload []byte, sc trace.SpanContext) error {
-	var scratch []byte
-	return writeTracedFrameBuf(w, payload, sc, &scratch)
+// requestTypes is the request type byte of each backend operation, by
+// phi.OpKind.
+var requestTypes = [...]byte{
+	phi.OpLookup:         MsgLookup,
+	phi.OpReportStart:    MsgReportStart,
+	phi.OpReportEnd:      MsgReportEnd,
+	phi.OpReportProgress: MsgProgress,
 }
 
-// writeTracedFrameBuf is writeFrameBuf's traced sibling: frame header,
-// flagged type byte, trace header, and body are serialized into *scratch
-// and written with a single Write.
-func writeTracedFrameBuf(w io.Writer, payload []byte, sc trace.SpanContext, scratch *[]byte) error {
-	if len(payload) == 0 {
-		return ErrMalformed
-	}
-	n := len(payload) + traceHeaderLen
-	if n > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	b := append((*scratch)[:0], 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(b, uint32(n))
-	b = append(b, payload[0]|TraceFlag)
-	b = binary.BigEndian.AppendUint64(b, uint64(sc.Trace))
-	b = binary.BigEndian.AppendUint64(b, uint64(sc.Span))
-	b = append(b, payload[1:]...)
-	*scratch = b
-	_, err := w.Write(b)
-	return err
-}
+// errPathTooLong refuses a path key beyond MaxPathLen, on encode and on
+// decode alike.
+var errPathTooLong = fmt.Errorf("phiwire: path key too long (max %d bytes)", MaxPathLen)
 
-// encodeLookup builds a lookup request.
-func encodeLookup(path phi.PathKey) ([]byte, error) {
-	if len(path) > MaxPathLen {
-		return nil, fmt.Errorf("phiwire: path key too long (%d bytes)", len(path))
+// appendOp builds the request frame of a backend operation in b, traced
+// when sc is valid: the path (which the caller has held to MaxPathLen),
+// then for an end or progress report (same layout) the report's fields.
+func appendOp(b []byte, sc trace.SpanContext, op phi.Op) []byte {
+	b = appendString(beginFrame(b, requestTypes[op.Kind], sc), string(op.Path))
+	if op.Kind == phi.OpLookup || op.Kind == phi.OpReportStart {
+		return b
 	}
-	return appendString([]byte{MsgLookup}, string(path)), nil
-}
-
-// encodeReportStart builds a start report.
-func encodeReportStart(path phi.PathKey) ([]byte, error) {
-	if len(path) > MaxPathLen {
-		return nil, fmt.Errorf("phiwire: path key too long (%d bytes)", len(path))
-	}
-	return appendString([]byte{MsgReportStart}, string(path)), nil
-}
-
-// encodeReport builds an end or progress report (same payload layout).
-func encodeReport(msgType byte, path phi.PathKey, r phi.Report) ([]byte, error) {
-	if len(path) > MaxPathLen {
-		return nil, fmt.Errorf("phiwire: path key too long (%d bytes)", len(path))
-	}
-	b := appendString([]byte{msgType}, string(path))
+	r := op.Report
 	b = appendInt64(b, r.Bytes)
 	b = appendInt64(b, int64(r.Duration))
 	b = appendInt64(b, int64(r.AvgRTT))
 	b = appendInt64(b, int64(r.MinRTT))
-	b = appendFloat(b, r.LossRate)
-	return b, nil
-}
-
-// encodeOp builds the request frame payload of a backend operation.
-func encodeOp(op phi.Op) ([]byte, error) {
-	switch op.Kind {
-	case phi.OpLookup:
-		return encodeLookup(op.Path)
-	case phi.OpReportStart:
-		return encodeReportStart(op.Path)
-	case phi.OpReportEnd:
-		return encodeReport(MsgReportEnd, op.Path, op.Report)
-	default:
-		return encodeReport(MsgProgress, op.Path, op.Report)
-	}
+	return appendFloat(b, r.LossRate)
 }
 
 // decodeOp parses the body of one of the four backend request types
-// (after the type byte and any trace header). On error op.Kind is still
-// set, so the caller can say which request was malformed.
-func decodeOp(typ byte, body []byte) (op phi.Op, err error) {
+// (after the type byte and any trace header). body aliases the read
+// buffer, so the path is the one thing copied out of it — after its
+// length has passed MaxPathLen, and not at all when the bytes equal
+// *last, the previous path decoded on this connection (a lifecycle's
+// lookup, start, progress and end all name one path). On error op.Kind
+// is still set, so the caller can say which request was malformed.
+func decodeOp(typ byte, body []byte, last *phi.PathKey) (op phi.Op, err error) {
 	switch typ {
-	case MsgLookup, MsgReportStart:
+	case MsgLookup:
 		op.Kind = phi.OpLookup
-		if typ == MsgReportStart {
-			op.Kind = phi.OpReportStart
-		}
-		var path string
-		path, _, err = readString(body)
-		op.Path = phi.PathKey(path)
-	default:
+	case MsgReportStart:
+		op.Kind = phi.OpReportStart
+	case MsgReportEnd:
 		op.Kind = phi.OpReportEnd
-		if typ == MsgProgress {
-			op.Kind = phi.OpReportProgress
-		}
-		op.Path, op.Report, err = decodeReportEnd(body)
+	default:
+		op.Kind = phi.OpReportProgress
 	}
+	path, b, err := readBytes(body)
+	if err != nil {
+		return op, err
+	}
+	if len(path) > MaxPathLen {
+		return op, errPathTooLong
+	}
+	if string(path) != string(*last) { // compares without allocating
+		*last = phi.PathKey(path)
+	}
+	op.Path = *last
+	if op.Kind == phi.OpLookup || op.Kind == phi.OpReportStart {
+		return op, nil
+	}
+	r := &op.Report
+	if r.Bytes, b, err = readInt64(b); err != nil {
+		return op, err
+	}
+	var v int64
+	if v, b, err = readInt64(b); err != nil {
+		return op, err
+	}
+	r.Duration = sim.Time(v)
+	if v, b, err = readInt64(b); err != nil {
+		return op, err
+	}
+	r.AvgRTT = sim.Time(v)
+	if v, b, err = readInt64(b); err != nil {
+		return op, err
+	}
+	r.MinRTT = sim.Time(v)
+	r.LossRate, _, err = readFloat(b)
 	return op, err
 }
 
-// encodeContext builds a context response.
-func encodeContext(c phi.Context) []byte {
-	b := appendFloat([]byte{MsgContext}, c.U)
+// appendContext builds a context response frame in b.
+func appendContext(b []byte, c phi.Context) []byte {
+	b = appendFloat(beginFrame(b, MsgContext, trace.SpanContext{}), c.U)
 	b = appendInt64(b, int64(c.Q))
-	b = appendInt64(b, int64(c.N))
-	return b
+	return appendInt64(b, int64(c.N))
 }
 
-// encodeError builds an error response.
-func encodeError(msg string) []byte {
+// appendError builds an error response frame in b.
+func appendError(b []byte, msg string) []byte {
 	if len(msg) > 512 {
 		msg = msg[:512]
 	}
-	return appendString([]byte{MsgError}, msg)
+	return appendString(beginFrame(b, MsgError, trace.SpanContext{}), msg)
 }
 
 // decodeContext parses a context response payload (after the type byte).
@@ -316,33 +374,4 @@ func decodeContext(b []byte) (phi.Context, error) {
 		return phi.Context{}, err
 	}
 	return phi.Context{U: u, Q: sim.Time(q), N: int(n)}, nil
-}
-
-// decodeReportEnd parses an end report payload (after the type byte).
-func decodeReportEnd(b []byte) (phi.PathKey, phi.Report, error) {
-	path, b, err := readString(b)
-	if err != nil {
-		return "", phi.Report{}, err
-	}
-	var r phi.Report
-	if r.Bytes, b, err = readInt64(b); err != nil {
-		return "", phi.Report{}, err
-	}
-	var v int64
-	if v, b, err = readInt64(b); err != nil {
-		return "", phi.Report{}, err
-	}
-	r.Duration = sim.Time(v)
-	if v, b, err = readInt64(b); err != nil {
-		return "", phi.Report{}, err
-	}
-	r.AvgRTT = sim.Time(v)
-	if v, b, err = readInt64(b); err != nil {
-		return "", phi.Report{}, err
-	}
-	r.MinRTT = sim.Time(v)
-	if r.LossRate, _, err = readFloat(b); err != nil {
-		return "", phi.Report{}, err
-	}
-	return phi.PathKey(path), r, nil
 }

@@ -61,7 +61,7 @@ var malformedOp = [...]string{
 // Server-side sub-span stage names for the /debug/stages decomposition
 // (measured only when a StageAggregator is attached; see
 // trace.StageAggregator). The read syscall is deliberately absent: on a
-// blocking request/response connection, time in readFrame is
+// blocking request/response connection, time in the frame reader is
 // indistinguishable from client idle time between requests.
 var (
 	stServerDecode = trace.Name("server.decode") // trace-header peel + request parse
@@ -251,11 +251,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	wire := s.wire
 	s.mu.Unlock()
 	rw := obs.CountConn(conn, wire)
-	// Per-connection frame-serialization scratch, reused across responses
-	// so each frame is one Write and steady state allocates nothing.
+	// Per-connection codec state, all reused so steady state allocates
+	// nothing: the frame reader's buffer (a request payload aliases it
+	// until the next fr.next), the buffer each response frame is built in
+	// and written from with one Write, and decodeOp's last-path memo.
+	fr := frameReader{r: rw}
 	var wbuf []byte
+	var lastPath phi.PathKey
 	for {
-		payload, err := readFrame(rw)
+		payload, err := fr.next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("phiwire: read from %v: %v", conn.RemoteAddr(), err)
@@ -267,7 +271,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if m != nil {
 			start = time.Now()
 		}
-		resp, tid := s.handle(payload)
+		var tid trace.TraceID
+		wbuf, tid = s.handle(payload, wbuf, &lastPath)
 		if m != nil {
 			m.HandleSeconds.ObserveExemplar(time.Since(start), uint64(tid))
 		}
@@ -276,7 +281,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if st != nil {
 			w0 = time.Now()
 		}
-		if err := writeFrameBuf(rw, resp, &wbuf); err != nil {
+		if err := flushFrame(rw, wbuf); err != nil {
 			s.logf("phiwire: write to %v: %v", conn.RemoteAddr(), err)
 			return
 		}
@@ -287,9 +292,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle processes one request payload and returns the response payload
-// plus the trace ID of the span recorded for it (zero when untraced).
-func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
+// handle processes one request payload and builds the response frame in
+// dst (reusing its storage), returning it with the trace ID of the span
+// recorded for the request (zero when untraced). payload may alias a read
+// buffer: nothing of it is kept but the path, through decodeOp's memo
+// last.
+func (s *Server) handle(payload, dst []byte, last *phi.PathKey) ([]byte, trace.TraceID) {
 	m := s.metrics
 	st := s.tracer.Stages()
 	var d0 time.Time
@@ -297,7 +305,7 @@ func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
 		d0 = time.Now()
 	}
 	if len(payload) == 0 {
-		return s.reject("empty frame")
+		return s.reject(dst, "empty frame")
 	}
 	typ, body := payload[0], payload[1:]
 	// Requests (high bit clear) may carry a trace header; peel it off
@@ -308,17 +316,17 @@ func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
 		var err error
 		sc, body, err = readSpanContext(body)
 		if err != nil {
-			return s.reject("malformed trace header")
+			return s.reject(dst, "malformed trace header")
 		}
 		typ &^= TraceFlag
 	}
 	switch typ {
 	case MsgHello:
 		if _, _, err := decodeHello(body); err != nil {
-			return s.reject("malformed hello")
+			return s.reject(dst, "malformed hello")
 		}
 		s.handled.Add(1)
-		return encodeHello(MsgHelloAck, ProtocolVersion, CapTrace), 0
+		return appendHello(dst, MsgHelloAck, ProtocolVersion, CapTrace), 0
 	case MsgGetPolicy:
 		s.mu.Lock()
 		policy := s.policy
@@ -327,22 +335,22 @@ func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
 		if policy == nil {
 			err := errors.New("no policy published")
 			sp.End(err)
-			return s.encodeBackendError(err), sp.Context().Trace
+			return s.backendError(dst, err), sp.Context().Trace
 		}
 		sp.End(nil)
 		s.handled.Add(1)
 		if m != nil {
 			m.Policies.Inc()
 		}
-		return append([]byte{MsgPolicy}, policy...), sp.Context().Trace
+		return append(beginFrame(dst, MsgPolicy, trace.SpanContext{}), policy...), sp.Context().Trace
 	case MsgLookup, MsgReportStart, MsgReportEnd, MsgProgress:
 		// The one arm that calls the backend.
-		op, err := decodeOp(typ, body)
-		if err != nil {
-			return s.reject(malformedOp[op.Kind])
+		op, err := decodeOp(typ, body, last)
+		if errors.Is(err, errPathTooLong) {
+			return s.reject(dst, "path key too long")
 		}
-		if len(op.Path) > MaxPathLen {
-			return s.reject("path key too long")
+		if err != nil {
+			return s.reject(dst, malformedOp[op.Kind])
 		}
 		if st != nil {
 			st.Observe(stServerDecode, time.Since(d0))
@@ -354,42 +362,42 @@ func (s *Server) handle(payload []byte) ([]byte, trace.TraceID) {
 		sp.End(err)
 		tid := sp.Context().Trace
 		if err != nil {
-			return s.encodeBackendError(err), tid
+			return s.backendError(dst, err), tid
 		}
 		s.handled.Add(1)
 		if m != nil {
 			m.Requests[op.Kind].Inc()
 		}
 		if op.Kind != phi.OpLookup {
-			return []byte{MsgOK}, tid
+			return beginFrame(dst, MsgOK, trace.SpanContext{}), tid
 		}
 		// Hand the monitor the trace-evidence pointer: the last trace ID
 		// seen per slice is what gets marked interesting on an anomaly.
 		s.health.RecordTrace(string(op.Path), uint64(tid))
-		return encodeContext(ctx), tid
+		return appendContext(dst, ctx), tid
 	default:
-		return s.reject("unknown message type")
+		return s.reject(dst, "unknown message type")
 	}
 }
 
-// encodeBackendError counts and encodes an application-level error (the
-// backend refused the request — e.g. a degraded cluster — as opposed to
-// a malformed frame).
-func (s *Server) encodeBackendError(err error) []byte {
+// backendError counts an application-level error (the backend refused
+// the request — e.g. a degraded cluster — as opposed to a malformed
+// frame) and builds the error frame that answers it.
+func (s *Server) backendError(dst []byte, err error) []byte {
 	if m := s.metrics; m != nil {
 		m.Errors.Inc()
 	}
-	return encodeError(err.Error())
+	return appendError(dst, err.Error())
 }
 
-// reject counts a malformed or unknown frame and encodes the error
-// frame that answers it; such a frame belongs to no trace.
-func (s *Server) reject(msg string) ([]byte, trace.TraceID) {
+// reject counts a malformed or unknown frame and builds the error frame
+// that answers it; such a frame belongs to no trace.
+func (s *Server) reject(dst []byte, msg string) ([]byte, trace.TraceID) {
 	s.rejected.Add(1)
 	if m := s.metrics; m != nil {
 		m.Rejected.Inc()
 	}
-	return encodeError(msg), 0
+	return appendError(dst, msg), 0
 }
 
 // Stats returns handled/rejected counters. It is safe to call while the

@@ -1,6 +1,7 @@
 package phiwire
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -11,10 +12,12 @@ import (
 
 // TestWireAccounting pins the wire-resource model end to end: with
 // counters attached on both halves, N lifecycles account exactly 3N
-// frames each way, and the coalesced writeFrameBuf (header + payload
-// serialized into one buffer, one Write) yields a batching ratio of
-// exactly 1.0 frames per write syscall on both sides — up from the 0.5
-// the original two-write frame encoder measured.
+// frames each way, the coalesced flushFrame (header + payload built in
+// one buffer, one Write) yields a batching ratio of exactly 1.0 frames
+// per write syscall on both sides — up from the 0.5 the original
+// two-write frame encoder measured — and the frameReader takes each
+// request/response frame off the wire in one Read, where the per-frame
+// header-then-payload reader took two.
 func TestWireAccounting(t *testing.T) {
 	srv, backend, addr := startServer(t)
 	backend.RegisterPath("p", 1_000_000)
@@ -53,6 +56,9 @@ func TestWireAccounting(t *testing.T) {
 	if cs.FramesPerWriteSyscall != 1.0 {
 		t.Errorf("client batching ratio = %v, want 1.0", cs.FramesPerWriteSyscall)
 	}
+	if cs.ReadSyscalls != cs.FramesRead {
+		t.Errorf("client read syscalls = %d for %d frames, want 1 per frame", cs.ReadSyscalls, cs.FramesRead)
+	}
 	if cs.BytesWritten == 0 || cs.BytesRead == 0 {
 		t.Errorf("client bytes w/r = %d/%d, want > 0", cs.BytesWritten, cs.BytesRead)
 	}
@@ -79,11 +85,58 @@ func TestWireAccounting(t *testing.T) {
 	if ss.FramesPerWriteSyscall != 1.0 {
 		t.Errorf("server batching ratio = %v, want 1.0", ss.FramesPerWriteSyscall)
 	}
+	// The server's next Read is parked on the idle connection and is
+	// counted only when it returns, so the counts are exact here.
+	if ss.ReadSyscalls != ss.FramesRead {
+		t.Errorf("server read syscalls = %d for %d frames, want 1 per frame", ss.ReadSyscalls, ss.FramesRead)
+	}
 	// Conservation: what the client put on the wire is what the server
 	// took off it, byte for byte.
 	if ss.BytesRead != cs.BytesWritten || cs.BytesRead != ss.BytesWritten {
 		t.Errorf("byte conservation: server read %d vs client wrote %d; client read %d vs server wrote %d",
 			ss.BytesRead, cs.BytesWritten, cs.BytesRead, ss.BytesWritten)
+	}
+}
+
+// TestWireAccountingBurst: three requests arriving in one segment cost
+// the server fewer than three reads, and it answers all three in order.
+func TestWireAccountingBurst(t *testing.T) {
+	srv, backend, addr := startServer(t)
+	sw := obs.NewWireCounters()
+	srv.SetWire(sw)
+	paths := []phi.PathKey{"burst/a", "burst/b", "burst/c"}
+	var burst []byte
+	for i, p := range paths {
+		for j := 0; j <= i; j++ { // path i answers N = i+1
+			if err := backend.ReportStart(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lookup, _ := encodeLookup(p)
+		burst = append(burst, mustFrame(t, lookup)...)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for i := range paths {
+		resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		ctx, err := decodeContext(resp[1:])
+		if resp[0] != MsgContext || err != nil || ctx.N != i+1 {
+			t.Fatalf("response %d: type %x ctx %+v err %v, want N = %d (in request order)", i, resp[0], ctx, err, i+1)
+		}
+	}
+	ss := sw.Snapshot()
+	if ss.FramesRead != 3 || ss.ReadSyscalls >= 3 {
+		t.Errorf("server took %d frames in %d reads, want 3 frames in fewer than 3", ss.FramesRead, ss.ReadSyscalls)
 	}
 }
 

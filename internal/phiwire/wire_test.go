@@ -2,6 +2,7 @@ package phiwire
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/phi"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func wallClock() sim.Time { return sim.Time(time.Now().UnixNano()) }
@@ -320,25 +322,89 @@ func TestContextRoundTripProperty(t *testing.T) {
 func TestFrameCodec(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello phi")
-	if err := writeFrame(&buf, payload); err != nil {
+	frame := append(beginFrame(nil, payload[0], trace.SpanContext{}), payload[1:]...)
+	if err := flushFrame(&buf, frame); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	fr := frameReader{r: &buf}
+	got, err := fr.next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Errorf("round trip = %q", got)
 	}
-	// Oversize write is refused.
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); err != ErrFrameTooLarge {
-		t.Errorf("oversize write err = %v", err)
+	// Oversize write is refused, and nothing of it reaches the writer.
+	if err := flushFrame(&buf, make([]byte, 4+MaxFrame+1)); err != ErrFrameTooLarge || buf.Len() != 0 {
+		t.Errorf("oversize write err = %v, %d bytes written", err, buf.Len())
 	}
 	// Truncated read fails cleanly.
-	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := readFrame(&buf); err == nil {
-		t.Error("truncated frame read succeeded")
+	if _, err := fr.next(); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated frame read: err = %v", err)
+	}
+}
+
+// TestAppendFormsMatchReference: the in-place encoders put on the wire
+// exactly the bytes the per-frame reference encoders do — the four ops
+// plain and traced, Hello, context, OK and error — including when the
+// buffer they reuse held a longer frame before.
+func TestAppendFormsMatchReference(t *testing.T) {
+	const path = "us-east/eu-west"
+	sc := trace.SpanContext{Trace: 0x0102030405060708, Span: 0x1112131415161718}
+	lookup, _ := encodeLookup(path)
+	start, _ := encodeReportStart(path)
+	end, _ := encodeReport(MsgReportEnd, path, benchReport)
+	progress, _ := encodeReport(MsgProgress, path, benchReport)
+	ctx := phi.Context{U: 0.73, Q: 9 * sim.Millisecond, N: 17}
+	long := strings.Repeat("x", 2000)
+
+	type golden struct {
+		name  string
+		build func([]byte) []byte
+		ref   []byte // reference payload; framed traced when name ends in "-traced"
+	}
+	cases := []golden{
+		{"error", func(b []byte) []byte { return appendError(b, "boom") }, encodeError("boom")},
+		{"error-trimmed", func(b []byte) []byte { return appendError(b, long) }, encodeError(long)},
+		{"context", func(b []byte) []byte { return appendContext(b, ctx) }, encodeContext(ctx)},
+		{"ok", func(b []byte) []byte { return beginFrame(b, MsgOK, trace.SpanContext{}) }, []byte{MsgOK}},
+		{"hello", func(b []byte) []byte { return appendHello(b, MsgHello, ProtocolVersion, CapTrace) }, encodeHello(MsgHello, ProtocolVersion, CapTrace)},
+		{"hello-ack", func(b []byte) []byte { return appendHello(b, MsgHelloAck, ProtocolVersion, CapTrace) }, encodeHello(MsgHelloAck, ProtocolVersion, CapTrace)},
+	}
+	for _, o := range []struct {
+		name string
+		op   phi.Op
+		ref  []byte
+	}{
+		{"lookup", phi.Op{Kind: phi.OpLookup, Path: path}, lookup},
+		{"report-start", phi.Op{Kind: phi.OpReportStart, Path: path}, start},
+		{"report-end", phi.Op{Kind: phi.OpReportEnd, Path: path, Report: benchReport}, end},
+		{"progress", phi.Op{Kind: phi.OpReportProgress, Path: path, Report: benchReport}, progress},
+	} {
+		cases = append(cases,
+			golden{o.name, func(b []byte) []byte { return appendOp(b, trace.SpanContext{}, o.op) }, o.ref},
+			golden{o.name + "-traced", func(b []byte) []byte { return appendOp(b, sc, o.op) }, o.ref})
+	}
+	wbuf := bytes.Repeat([]byte{0xAA}, 256) // stale bytes to be overwritten
+	for _, tc := range cases {
+		var want, got bytes.Buffer
+		var err error
+		if strings.HasSuffix(tc.name, "-traced") {
+			err = writeTracedFrame(&want, tc.ref, sc)
+		} else {
+			err = writeFrame(&want, tc.ref)
+		}
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		wbuf = tc.build(wbuf)
+		if err := flushFrame(&got, wbuf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: frame %x, reference %x", tc.name, got.Bytes(), want.Bytes())
+		}
 	}
 }
 
@@ -501,7 +567,7 @@ func TestServerHandleNeverPanicsProperty(t *testing.T) {
 				t.Fatalf("handle panicked on %x: %v", raw, r)
 			}
 		}()
-		resp, _ := srv.handle(raw)
+		resp := handle(srv, raw)
 		return len(resp) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
